@@ -66,7 +66,6 @@ from repro.graphs.streaming import (
 from repro.sim import (
     CostLedger,
     parallel_sweep,
-    reset_shard_stats,
     shard_stats,
     shm,
     use_engine,
@@ -74,6 +73,7 @@ from repro.sim import (
 )
 from repro.sim.compiled import CompiledNetwork
 from repro.obs.manifest import peak_rss_kb
+from repro.obs.metrics import reset_metrics
 from repro.substrates.greedy import greedy_color_reduction
 
 from _util import emit, write_manifest_sidecar
@@ -195,7 +195,7 @@ def _bench_sharded(headline_n: int) -> Dict:
     baseline, _, _, baseline_s = _solve_ring(compiled, "vectorized")
     rows: List[Dict] = []
     for shards in SHARD_COUNTS:
-        reset_shard_stats()
+        reset_metrics()
         with use_shards(shards):
             result, q, rounds, wall_s = _solve_ring(compiled, "sharded")
         if result != baseline:
@@ -203,7 +203,10 @@ def _bench_sharded(headline_n: int) -> Dict:
                 f"sharded coloring diverged at n={headline_n} "
                 f"shards={shards}"
             )
-        last = shard_stats().get("last_run") or {}
+        # ``last_run`` outlives reset_metrics(): read it only when this
+        # rung engaged, so a fallback row never shows an earlier run.
+        stats = shard_stats()
+        last = (stats["last_run"] if stats["engaged"] else None) or {}
         nodes_per_s = round(headline_n / wall_s) if wall_s > 0 else None
         rows.append({
             "shards": shards,

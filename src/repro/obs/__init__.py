@@ -38,7 +38,6 @@ from .metrics import (
     histogram,
     log_buckets,
     merge,
-    metrics_enabled,
     nearest_rank,
     percentile,
     record_run,
@@ -91,7 +90,6 @@ __all__ = [
     "log_buckets",
     "logical_view",
     "merge",
-    "metrics_enabled",
     "nearest_rank",
     "percentile",
     "record_run",

@@ -23,6 +23,8 @@ import sys
 import time
 from typing import Any, Dict, Mapping, Optional
 
+from .metrics import snapshot as metrics_snapshot
+
 #: Environment prefixes captured into the manifest (the knobs that can
 #: change what a run measures).
 ENV_PREFIXES = ("REPRO_SIM_", "REPRO_PARALLEL")
@@ -60,11 +62,11 @@ def _captured_env() -> Dict[str, str]:
     }
 
 
-def _kernel_counters() -> Optional[Dict[str, Any]]:
+def _kernel_counters(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     try:
         from ..sim.kernels import kernel_stats
 
-        return kernel_stats()
+        return kernel_stats(snap)
     except ImportError:  # pragma: no cover - sim always ships
         return None
 
@@ -88,7 +90,7 @@ def _arrays_state() -> Optional[Dict[str, Any]]:
         return None
 
 
-def _sharded_state() -> Optional[Dict[str, Any]]:
+def _sharded_state(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """Sharded-engine provenance: shard count plus run/halo counters.
 
     ``shards`` is the resolved default shard count (override, then
@@ -102,28 +104,30 @@ def _sharded_state() -> Optional[Dict[str, Any]]:
 
         return {
             "shards": sharded.default_shards(),
-            "stats": sharded.shard_stats(),
+            "stats": sharded.shard_stats(snap),
         }
     except ImportError:  # pragma: no cover - sim always ships
         return None
 
 
-def peak_rss_kb(children: bool = False) -> Optional[int]:
-    """Peak resident set size in KiB, or ``None`` where unmeasurable.
+def peak_rss_kb() -> Optional[int]:
+    """This process's peak resident set size in KiB, or ``None`` where
+    unmeasurable.
 
     ``resource.getrusage`` reports ``ru_maxrss`` in kilobytes on Linux
-    and in bytes on macOS; this normalizes to KiB.  ``children=True``
-    reports the high-water mark across reaped child processes (pool
-    workers) instead of this process.  A *physical* quantity: it varies
-    run to run and never participates in logical-stream comparisons.
+    and in bytes on macOS; this normalizes to KiB.  A *physical*
+    quantity: it varies run to run and never participates in
+    logical-stream comparisons.  There is deliberately no children
+    variant: a forked child starts with its parent's resident pages, so
+    ``RUSAGE_CHILDREN`` reports the parent's own peak, not the
+    children's; pool workers report their own figure instead.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms
         return None
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
     try:
-        peak = resource.getrusage(who).ru_maxrss
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     except (OSError, ValueError):  # pragma: no cover - defensive
         return None
     if sys.platform == "darwin":  # pragma: no cover - bytes on macOS
@@ -132,40 +136,21 @@ def peak_rss_kb(children: bool = False) -> Optional[int]:
 
 
 def _rss_state() -> Optional[Dict[str, Any]]:
-    """Peak RSS of this process and its reaped children, in KiB."""
+    """Peak RSS of this process, in KiB."""
     own = peak_rss_kb()
     if own is None:
         return None
-    return {
-        "max_rss_kb": own,
-        "children_max_rss_kb": peak_rss_kb(children=True),
-    }
+    return {"max_rss_kb": own}
 
 
-def _metrics_state() -> Optional[Dict[str, Any]]:
-    """The unified metrics registry's snapshot, or ``None`` if empty.
-
-    An empty registry (nothing instrumented ran) is recorded as
-    ``None`` rather than ``{}`` so manifests stay compact for runs that
-    predate -- or never touch -- the metrics layer.
-    """
-    try:
-        from .metrics import snapshot
-
-        snap = snapshot()
-        return snap or None
-    except ImportError:  # pragma: no cover - obs always ships
-        return None
-
-
-def _cache_state() -> Optional[Dict[str, Any]]:
+def _cache_state(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     try:
         from ..substrates import cache as substrate_cache
 
         return {
             "enabled": substrate_cache.cache_enabled(),
             "registries": substrate_cache.registry_sizes(),
-            "counters": substrate_cache.cache_counters(),
+            "counters": substrate_cache.cache_counters(snap),
             "disk": substrate_cache.disk_state(),
         }
     except ImportError:  # pragma: no cover - substrates always ship
@@ -185,6 +170,10 @@ def collect_manifest(engine: Optional[str] = None,
     ``ledger`` (a :class:`~repro.sim.metrics.CostLedger`) contributes its
     :meth:`~repro.sim.metrics.CostLedger.to_dict` as the run's logical
     cost record; ``extra`` keys are merged last and win.
+
+    One metrics-registry snapshot backs every count in the manifest:
+    the ``metrics`` section itself (``None`` when nothing instrumented
+    ran) and the ``kernels`` / ``sharded`` / ``caches`` views of it.
     """
     if engine is None:
         try:
@@ -197,6 +186,7 @@ def collect_manifest(engine: Optional[str] = None,
         from .. import __version__ as version
     except ImportError:  # pragma: no cover - package always importable
         version = None
+    snap = metrics_snapshot()
     manifest: Dict[str, Any] = {
         "kind": "manifest",
         "manifest_version": MANIFEST_VERSION,
@@ -211,12 +201,12 @@ def collect_manifest(engine: Optional[str] = None,
         "seeds": dict(seeds) if seeds is not None else None,
         "env": _captured_env(),
         "git": _git_state(),
-        "kernels": _kernel_counters(),
+        "kernels": _kernel_counters(snap),
         "arrays": _arrays_state(),
-        "sharded": _sharded_state(),
-        "caches": _cache_state(),
+        "sharded": _sharded_state(snap),
+        "caches": _cache_state(snap),
         "rss": _rss_state(),
-        "metrics": _metrics_state(),
+        "metrics": snap or None,
         "ledger": ledger.to_dict() if ledger is not None else None,
     }
     if extra:

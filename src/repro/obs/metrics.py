@@ -1,23 +1,20 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-Every layer of this repo used to keep its own private tally --
-``KernelStats`` in :mod:`repro.sim.kernels`, ``shard_stats()`` in
-:mod:`repro.sim.sharded`, the substrate-cache hit/miss counters, the
-worker-pool and batcher dicts, the daemon's rolling latency window.
-This module is the one place those quantities now land: a
+This module is the one store of counts in the process: a
 dependency-free registry of :class:`Counter`, :class:`Gauge`, and
 :class:`Histogram` metrics with labeled children, an atomic
 :func:`snapshot`, :func:`merge` for rebasing child-process snapshots
 onto the parent, and a Prometheus text :func:`exposition` for the serve
-daemon's ``GET /metrics``.
+daemon's ``GET /metrics``.  The per-layer stat dicts --
+:func:`repro.sim.kernels.kernel_stats`,
+:func:`repro.sim.sharded.shard_stats`,
+:func:`repro.substrates.cache.cache_counters` -- are queries over a
+snapshot (:func:`sample_values`), so they can never disagree with it.
 
 Design rules, in priority order:
 
 *Observation must not change results.*  Metrics are write-only from the
-hot paths' point of view; nothing in the engines reads them back.  The
-legacy dicts (``kernel_stats()`` and friends) remain the authoritative
-views -- instrumented call sites *dual-write* into this registry, so
-every pre-existing surface stays bit-identical.
+hot paths' point of view; nothing in the engines reads them back.
 
 *One registry object, forever.*  :func:`reset_metrics` clears values in
 place instead of swapping the registry, so module-level handles cached
@@ -46,10 +43,9 @@ from typing import (Any, Dict, IO, Iterable, List, Mapping, Optional,
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricError", "MetricsFlusher",
     "MetricsRegistry", "REGISTRY", "counter", "gauge", "histogram",
-    "exposition", "log_buckets", "merge", "metrics_enabled",
-    "nearest_rank", "percentile", "record_run", "reset_metrics",
-    "sample_quantile", "set_metrics_enabled", "snapshot",
-    "snapshot_delta", "LATENCY_BUCKETS", "SIZE_BUCKETS",
+    "exposition", "log_buckets", "merge", "nearest_rank", "percentile",
+    "record_run", "reset_metrics", "sample_quantile", "sample_values",
+    "snapshot", "snapshot_delta", "LATENCY_BUCKETS", "SIZE_BUCKETS",
 ]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -200,7 +196,6 @@ class _Metric:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._registry = registry
         self._lock = registry._lock
         self._cells: Dict[Tuple[str, ...], Any] = {}
 
@@ -223,8 +218,6 @@ class CounterHandle(_Handle):
                 f"(inc({amount!r}))"
             )
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             cells = metric._cells
             cells[self._key] = cells.get(self._key, 0.0) + amount
@@ -256,15 +249,11 @@ class GaugeHandle(_Handle):
 
     def set(self, value: float) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             metric._cells[self._key] = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             cells = metric._cells
             cells[self._key] = cells.get(self._key, 0.0) + amount
@@ -316,8 +305,6 @@ class HistogramHandle(_Handle):
 
     def observe(self, value: float) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         value = float(value)
         edges = metric.buckets
         lo, hi = 0, len(edges)
@@ -390,10 +377,9 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """A named collection of metrics with atomic snapshot/merge."""
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         self._lock = threading.RLock()
         self._metrics: Dict[str, _Metric] = {}
-        self.enabled = enabled
 
     # -- get-or-create -------------------------------------------------
     def _get_or_create(self, cls, name: str, help: str,
@@ -665,6 +651,26 @@ def snapshot_delta(before: Mapping[str, Any],
     return out
 
 
+def sample_values(snap: Mapping[str, Any],
+                  name: str) -> Dict[Tuple[str, ...], float]:
+    """``{label values: value}`` of counter or gauge ``name`` in ``snap``.
+
+    ``snap`` is any :func:`snapshot`-shaped mapping -- a full snapshot,
+    a :func:`snapshot_delta`, or a sum of worker deltas.  Keys are the
+    label values in the metric's ``labelnames`` order (``()`` for an
+    unlabeled metric); a metric absent from ``snap`` reads as ``{}``.
+    """
+    entry = snap.get(name)
+    if entry is None:
+        return {}
+    labelnames = entry["labelnames"]
+    return {
+        tuple(sample["labels"][label] for label in labelnames):
+            sample["value"]
+        for sample in entry["samples"]
+    }
+
+
 #: The process-wide registry.  One object for the process lifetime --
 #: reset clears it in place (see module docstring).
 REGISTRY = MetricsRegistry()
@@ -709,18 +715,6 @@ def exposition() -> str:
     return REGISTRY.exposition()
 
 
-def metrics_enabled() -> bool:
-    """Whether the process registry is recording."""
-    return REGISTRY.enabled
-
-
-def set_metrics_enabled(enabled: bool) -> bool:
-    """Toggle recording; returns the previous state (tests only)."""
-    previous = REGISTRY.enabled
-    REGISTRY.enabled = bool(enabled)
-    return previous
-
-
 # ----------------------------------------------------------------------
 # Scheduler fast path
 # ----------------------------------------------------------------------
@@ -736,8 +730,6 @@ def record_run(engine: str, rounds: int, messages: int, bits: int,
     Handles are memoized per engine so the steady-state cost is a few
     dict updates under one lock round-trip per metric.
     """
-    if not REGISTRY.enabled:
-        return
     handles = _run_handles.get(engine)
     if handles is None:
         labels = {"engine": engine}

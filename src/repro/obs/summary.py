@@ -115,12 +115,7 @@ def summarize_trace(manifest: Optional[Dict[str, Any]],
             ))
         rss = manifest.get("rss") or {}
         if rss.get("max_rss_kb") is not None:
-            children = rss.get("children_max_rss_kb")
-            lines.append(
-                f"peak rss: {rss['max_rss_kb'] / 1024:.1f} MiB"
-                + (f" (+{children / 1024:.1f} MiB children)"
-                   if children else "")
-            )
+            lines.append(f"peak rss: {rss['max_rss_kb'] / 1024:.1f} MiB")
     runs = sum(1 for record in events if record.get("kind") == "run")
     total_wall = sum(
         record.get("wall_s", 0.0) or 0.0

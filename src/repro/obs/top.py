@@ -20,7 +20,7 @@ import math
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .metrics import read_metrics_jsonl, sample_quantile
+from .metrics import read_metrics_jsonl, sample_quantile, sample_values
 
 __all__ = [
     "summarize_metrics",
@@ -34,11 +34,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Snapshot accessors
 # ----------------------------------------------------------------------
-def _samples(snap: Mapping[str, Any], name: str) -> List[Dict[str, Any]]:
+def _labeled(snap: Mapping[str, Any],
+             name: str) -> List[Tuple[Dict[str, str], float]]:
+    """``(labels, value)`` pairs of counter or gauge ``name`` in ``snap``."""
     entry = snap.get(name)
-    if not isinstance(entry, Mapping):
-        return []
-    return list(entry.get("samples", ()))
+    labelnames = entry["labelnames"] if entry else ()
+    return [(dict(zip(labelnames, key)), float(value))
+            for key, value in sample_values(snap, name).items()]
 
 
 def _matches(labels: Mapping[str, str],
@@ -50,18 +52,15 @@ def _matches(labels: Mapping[str, str],
 
 def _sum_values(snap: Mapping[str, Any], name: str,
                 where: Optional[Mapping[str, str]] = None) -> float:
-    total = 0.0
-    for sample in _samples(snap, name):
-        if _matches(sample.get("labels", {}), where):
-            total += float(sample.get("value", 0.0))
-    return total
+    return sum((value for labels, value in _labeled(snap, name)
+                if _matches(labels, where)), 0.0)
 
 
 def _gauge(snap: Mapping[str, Any], name: str) -> Optional[float]:
-    samples = _samples(snap, name)
+    samples = _labeled(snap, name)
     if not samples:
         return None
-    return float(samples[0].get("value", 0.0))
+    return samples[0][1]
 
 
 def _hist(snap: Mapping[str, Any], name: str) -> Dict[str, Any]:
@@ -127,13 +126,11 @@ def summarize_metrics(snap: Mapping[str, Any],
     dispatches = hits + fallbacks
 
     caches: Dict[str, Dict[str, float]] = {}
-    for sample in _samples(snap, "repro_cache_lookups_total"):
-        labels = sample.get("labels", {})
-        registry = labels.get("registry", "?")
-        bucket = caches.setdefault(registry, {"hit": 0.0, "miss": 0.0})
-        outcome = labels.get("outcome")
-        if outcome in bucket:
-            bucket[outcome] += float(sample.get("value", 0.0))
+    for labels, value in _labeled(snap, "repro_cache_lookups_total"):
+        bucket = caches.setdefault(labels["registry"],
+                                   {"hit": 0.0, "miss": 0.0})
+        if labels["outcome"] in bucket:
+            bucket[labels["outcome"]] += value
     cache_rates = {
         registry: {
             "hits": c["hit"],
@@ -145,10 +142,9 @@ def summarize_metrics(snap: Mapping[str, Any],
     }
 
     engines = {}
-    for sample in _samples(snap, "repro_sim_runs_total"):
-        engine = sample.get("labels", {}).get("engine", "?")
-        engines[engine] = engines.get(engine, 0.0) + float(
-            sample.get("value", 0.0))
+    for labels, value in _labeled(snap, "repro_sim_runs_total"):
+        engines[labels["engine"]] = (
+            engines.get(labels["engine"], 0.0) + value)
 
     return {
         "uptime_s": uptime_s,

@@ -38,30 +38,6 @@ from .schema import RequestError, topology_key
 _COLORS_INLINE_LIMIT = 4096
 
 
-def counters_delta(before: Dict[str, Dict[str, int]],
-                   after: Dict[str, Dict[str, int]]
-                   ) -> Dict[str, Dict[str, int]]:
-    """Per-registry ``{hits, misses}`` deltas between two snapshots."""
-    delta: Dict[str, Dict[str, int]] = {}
-    for name, counts in after.items():
-        base = before.get(name, {})
-        hits = counts.get("hits", 0) - base.get("hits", 0)
-        misses = counts.get("misses", 0) - base.get("misses", 0)
-        if hits or misses:
-            delta[name] = {"hits": hits, "misses": misses}
-    return delta
-
-
-def _kernel_delta(before: Dict[str, Any],
-                  after: Dict[str, Any]) -> Dict[str, int]:
-    delta = {}
-    for field in ("runs", "fallbacks"):
-        moved = after.get(field, 0) - before.get(field, 0)
-        if moved:
-            delta[field] = moved
-    return delta
-
-
 def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
     """Build (or fetch warm) the compiled network for a topology spec.
 
@@ -270,6 +246,7 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
     process survives any request it is handed.  Only truly unexpected
     exceptions (bugs) propagate.
     """
+    from ..obs import metrics as obs_metrics
     from ..obs.tracer import Tracer, logical_view, use_tracer
     from ..sim.kernels import kernel_stats
     from ..sim.scheduler import default_engine
@@ -277,8 +254,7 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     algorithm = spec["algorithm"]
     topology = spec["topology"]
-    counters_before = cache_counters()
-    kernels_before = kernel_stats()
+    metrics_before = obs_metrics.snapshot()
     started = time.perf_counter()
     ledger = CostLedger()
     tracer: Optional[Tracer] = Tracer() if spec.get("trace", True) else None
@@ -332,12 +308,15 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
     payload["trace"] = logical_view(tracer.events) if tracer else None
     payload["timing"]["total_s"] = time.perf_counter() - started
     payload["peak_rss_kb"] = peak_rss_kb()
+    delta = obs_metrics.snapshot_delta(metrics_before,
+                                       obs_metrics.snapshot())
+    kernels = kernel_stats(delta)
     payload["manifest"] = {
         "engine": default_engine(),
         "pid": os.getpid(),
-        "cache_counters": counters_delta(counters_before,
-                                         cache_counters()),
-        "kernels": _kernel_delta(kernels_before, kernel_stats()),
+        "cache_counters": cache_counters(delta),
+        "kernels": {field: kernels[field]
+                    for field in ("runs", "fallbacks") if kernels[field]},
     }
     return payload
 

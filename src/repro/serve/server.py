@@ -422,6 +422,9 @@ class ColoringServer:
         from ..substrates import cache
 
         self._refresh_gauges()
+        # One snapshot backs every count in the response, so the cache
+        # counters and the metrics section always agree.
+        snap = obs_metrics.snapshot()
         window = tuple(self._latencies_ms)
         return envelope(
             "stats",
@@ -440,7 +443,7 @@ class ColoringServer:
             caches={
                 "enabled": cache.cache_enabled(),
                 "registries": cache.registry_sizes(),
-                "counters": cache.cache_counters(),
+                "counters": cache.cache_counters(snap),
                 "disk": cache.disk_state(),
             },
             topologies={
@@ -449,7 +452,7 @@ class ColoringServer:
                 ),
                 "uploads": len(self._uploads),
             },
-            metrics=obs_metrics.snapshot(),
+            metrics=snap,
         )
 
 

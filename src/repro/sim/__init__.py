@@ -14,13 +14,11 @@ from .errors import (
 )
 from .kernels import (
     KernelRound,
-    KernelStats,
     RoundKernel,
     kernel_for,
     kernel_stats,
     register_kernel,
     registered_kernels,
-    reset_kernel_stats,
     unregister_kernel,
 )
 from .message import (
@@ -49,7 +47,6 @@ from .sharded import (
     ShardSpec,
     default_shards,
     register_sharded,
-    reset_shard_stats,
     set_default_shards,
     shard_stats,
     sharded_for,
@@ -79,7 +76,6 @@ __all__ = [
     "InfeasibleInstanceError",
     "InstanceError",
     "KernelRound",
-    "KernelStats",
     "LocalModel",
     "Message",
     "Network",
@@ -115,8 +111,6 @@ __all__ = [
     "register_kernel",
     "register_sharded",
     "registered_kernels",
-    "reset_kernel_stats",
-    "reset_shard_stats",
     "run_protocol",
     "run_trials",
     "set_default_engine",

@@ -46,7 +46,8 @@ and benchmarks register kernels for their synthetic stress programs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..obs import metrics as obs_metrics
 from .compiled import CompiledNetwork
@@ -189,12 +190,14 @@ def registered_kernels() -> Tuple[type, ...]:
 # The vectorized engine falls back to the fast engine *silently* -- by
 # design (the results are identical), but silently is exactly how a
 # benchmark ends up measuring the wrong code path.  The scheduler
-# records every eligibility decision here so sweep reports and the CLI
-# can surface whether runs actually went through a kernel, which kernel,
-# how long ``prepare`` (the warmup) took, and why any run fell back.
+# records every eligibility decision in the process metrics registry so
+# sweep reports and the CLI can surface whether runs actually went
+# through a kernel, which kernel, how long ``prepare`` (the warmup)
+# took, and why any run fell back.
 # ----------------------------------------------------------------------
-class KernelStats:
-    """Cumulative counters for vectorized-engine dispatch decisions.
+def kernel_stats(snap: Optional[Mapping[str, Any]] = None
+                 ) -> Dict[str, Any]:
+    """This process's kernel-dispatch counts, read from the registry.
 
     ``runs = hits + fallbacks``; ``warmup_s`` accumulates the wall-clock
     spent in ``prepare`` (including declined prepares, which also pay
@@ -204,58 +207,50 @@ class KernelStats:
     and ``by_backend`` maps ``"KernelName[backend]"`` to hit counts so
     operators can see which column representation
     (:mod:`repro.sim.arrays`) each kernel actually ran on.
+
+    ``snap`` reads a registry snapshot or delta (a sweep worker's, a
+    request's) instead of the live registry.  Zero them with
+    :func:`repro.obs.metrics.reset_metrics`.
     """
-
-    __slots__ = ("runs", "hits", "fallbacks", "warmup_s", "by_kernel",
-                 "by_reason", "by_backend")
-
-    def __init__(self):
-        self.runs = 0
-        self.hits = 0
-        self.fallbacks = 0
-        self.warmup_s = 0.0
-        self.by_kernel: Dict[str, int] = {}
-        self.by_reason: Dict[str, int] = {}
-        self.by_backend: Dict[str, int] = {}
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A picklable snapshot (ships across process-pool boundaries)."""
-        return {
-            "runs": self.runs,
-            "hits": self.hits,
-            "fallbacks": self.fallbacks,
-            "warmup_s": self.warmup_s,
-            "by_kernel": dict(self.by_kernel),
-            "by_reason": dict(self.by_reason),
-            "by_backend": dict(self.by_backend),
-        }
-
-
-_stats = KernelStats()
+    if snap is None:
+        snap = obs_metrics.snapshot()
+    values = obs_metrics.sample_values
+    dispatch = values(snap, "repro_kernel_dispatch_total")
+    hits = int(dispatch.get(("hit",), 0))
+    fallbacks = int(dispatch.get(("fallback",), 0))
+    by_kernel: Dict[str, int] = {}
+    by_backend: Dict[str, int] = {}
+    for (kernel, backend), count in values(
+            snap, "repro_kernel_hits_total").items():
+        by_kernel[kernel] = by_kernel.get(kernel, 0) + int(count)
+        by_backend[f"{kernel}[{backend}]"] = int(count)
+    return {
+        "runs": hits + fallbacks,
+        "hits": hits,
+        "fallbacks": fallbacks,
+        "warmup_s": values(
+            snap, "repro_kernel_warmup_seconds_total").get((), 0.0),
+        "by_kernel": by_kernel,
+        "by_reason": {
+            reason: int(count) for (reason,), count in values(
+                snap, "repro_kernel_fallbacks_total").items()
+        },
+        "by_backend": by_backend,
+    }
 
 
-def kernel_stats() -> Dict[str, Any]:
-    """A snapshot of this process's cumulative kernel statistics."""
-    return _stats.as_dict()
-
-
-def reset_kernel_stats() -> None:
-    """Zero the counters (benchmark harnesses, tests)."""
-    global _stats
-    _stats = KernelStats()
+def _record_warmup(warmup_s: float) -> None:
+    if warmup_s:
+        obs_metrics.counter(
+            "repro_kernel_warmup_seconds_total",
+            "Wall-clock spent in kernel prepare()",
+        ).inc(warmup_s)
 
 
 def _record_hit(kernel_name: str, warmup_s: float,
-                backend: str = "python") -> None:
-    _stats.runs += 1
-    _stats.hits += 1
-    _stats.warmup_s += warmup_s
-    _stats.by_kernel[kernel_name] = _stats.by_kernel.get(kernel_name, 0) + 1
-    key = f"{kernel_name}[{backend}]"
-    _stats.by_backend[key] = _stats.by_backend.get(key, 0) + 1
-    # Dual-write into the process metrics registry.  KernelStats stays
-    # the authoritative dict view; the registry is the unified surface
-    # the daemon exposes and the parent merges worker deltas into.
+                backend: str = "python") -> Dict[str, Any]:
+    """Count one kernel execution; returns the run's dispatch outcome
+    (what a traced run annotates)."""
     obs_metrics.counter(
         "repro_kernel_dispatch_total",
         "Vectorized-engine dispatch decisions", ("outcome",),
@@ -265,18 +260,15 @@ def _record_hit(kernel_name: str, warmup_s: float,
         "Kernel executions by kernel class and backend",
         ("kernel", "backend"),
     ).labels(kernel=kernel_name, backend=backend).inc()
-    if warmup_s:
-        obs_metrics.counter(
-            "repro_kernel_warmup_seconds_total",
-            "Wall-clock spent in kernel prepare()",
-        ).inc(warmup_s)
+    _record_warmup(warmup_s)
+    return {"kernel": kernel_name, "backend": backend, "fallback": None,
+            "warmup_s": warmup_s}
 
 
-def _record_fallback(reason: str, warmup_s: float = 0.0) -> None:
-    _stats.runs += 1
-    _stats.fallbacks += 1
-    _stats.warmup_s += warmup_s
-    _stats.by_reason[reason] = _stats.by_reason.get(reason, 0) + 1
+def _record_fallback(reason: str, warmup_s: float = 0.0
+                     ) -> Dict[str, Any]:
+    """Count one fallback to the fast engine; returns the run's
+    dispatch outcome."""
     obs_metrics.counter(
         "repro_kernel_dispatch_total",
         "Vectorized-engine dispatch decisions", ("outcome",),
@@ -285,11 +277,9 @@ def _record_fallback(reason: str, warmup_s: float = 0.0) -> None:
         "repro_kernel_fallbacks_total",
         "Kernel fallbacks by reason", ("reason",),
     ).labels(reason=reason).inc()
-    if warmup_s:
-        obs_metrics.counter(
-            "repro_kernel_warmup_seconds_total",
-            "Wall-clock spent in kernel prepare()",
-        ).inc(warmup_s)
+    _record_warmup(warmup_s)
+    return {"kernel": None, "backend": None, "fallback": reason,
+            "warmup_s": warmup_s}
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,7 @@ def resolve_workers(max_workers: Optional[int] = None) -> int:
 
 def _call_measure(task):
     """Top-level worker target (must be importable for pickling)."""
-    measure, params, timing, collect, trace = task
+    measure, params, timing, trace = task
     metrics_before = obs_metrics.snapshot()
     start = time.perf_counter()
     if trace:
@@ -106,29 +106,20 @@ def _call_measure(task):
         tagged["wall_s"] = elapsed
     if trial_events is not None:
         tagged["__trace__"] = {"pid": os.getpid(), "events": trial_events}
-    if collect:
-        # Piggy-back this worker's cumulative kernel counters on the
-        # record; the parent pops them off and keeps, per pid, the
-        # snapshot with the most runs (counters are monotonic, so that
-        # is the worker's final state regardless of completion order).
-        from ..obs.manifest import peak_rss_kb
-        from .kernels import kernel_stats
-        from .scheduler import default_engine
+    # The one worker channel: this trial's registry *delta* (not the
+    # cumulative snapshot: deltas stay additive when a pool is reused
+    # across sweeps, and a forked worker's inherited parent state never
+    # double-counts), stamped with the pid and its peak RSS.  The parent
+    # pops it off every record, merges foreign pids into its registry,
+    # and sums each pid's deltas into that worker's SweepReport entry.
+    from ..obs.manifest import peak_rss_kb
 
-        tagged["__worker__"] = dict(
-            kernel_stats(), pid=os.getpid(), engine=default_engine(),
-            rss_kb=peak_rss_kb(),
-        )
-    # Piggy-back this trial's registry *delta* (not the cumulative
-    # snapshot: deltas stay additive when a pool is reused across
-    # sweeps, and a forked worker's inherited parent state never
-    # double-counts).  The parent pops the payload off every record and
-    # merges only foreign pids -- on the serial path and in thread-mode
-    # pools the updates already landed in the parent registry directly.
-    delta = obs_metrics.snapshot_delta(metrics_before,
-                                       obs_metrics.snapshot())
-    if delta:
-        tagged["__metrics__"] = {"pid": os.getpid(), "metrics": delta}
+    tagged["__metrics__"] = {
+        "pid": os.getpid(),
+        "rss_kb": peak_rss_kb(),
+        "metrics": obs_metrics.snapshot_delta(metrics_before,
+                                              obs_metrics.snapshot()),
+    }
     return tagged
 
 
@@ -162,8 +153,9 @@ def _init_worker(state, engine=None, arrays_enabled=None,
     selected after the pool exists would be silently ignored.  The
     NumPy-backend decision (:func:`repro.sim.arrays.arrays_enabled`) is
     frozen the same way so one sweep never splits across backends.
-    Kernel counters are zeroed so per-worker stats describe this sweep
-    only (``fork`` otherwise inherits the parent's cumulative counters).
+    The metrics registry is zeroed: ``fork`` otherwise hands the worker
+    the parent's cumulative counts, which would show in its exposition
+    (the per-trial deltas the worker ships back cancel them anyway).
 
     ``topologies`` carries :mod:`repro.sim.shm` handles for topologies
     the parent published to shared memory -- a name and a shape per key,
@@ -189,12 +181,6 @@ def _init_worker(state, engine=None, arrays_enabled=None,
         from .arrays import set_arrays_override
 
         set_arrays_override(arrays_enabled)
-    from .kernels import reset_kernel_stats
-
-    reset_kernel_stats()
-    # Same reasoning for the unified registry: a forked worker inherits
-    # the parent's cumulative metrics, which must not ride back on this
-    # worker's deltas or exposition.
     obs_metrics.reset_metrics()
     if state is None:
         return
@@ -494,11 +480,15 @@ class SweepReport(list):
 
     A ``list`` subclass so ``parallel_sweep(..., report=True)`` stays a
     drop-in for the plain record list; ``workers`` holds one dict per
-    pool worker (or one for the in-process serial run) with ``pid``,
-    ``engine``, and that worker's :func:`~repro.sim.kernels.kernel_stats`
-    counters -- the visibility knob for the vectorized engine's *silent*
-    fallback-to-fast: a sweep that meant to measure kernels but shows
-    ``hits == 0`` is measuring the wrong code path.
+    process that ran trials (pool workers, or this process for the
+    serial path and thread-mode pools), sorted by pid, each with
+    ``pid``, ``engine``, ``rss_kb`` (that process's peak RSS) and the
+    :func:`~repro.sim.kernels.kernel_stats` keys computed over the sum
+    of that process's per-trial registry deltas in *this sweep* -- the
+    same keys on every path.  They are the visibility knob for the
+    vectorized engine's *silent* fallback-to-fast: a sweep that meant to
+    measure kernels but shows ``hits == 0`` is measuring the wrong code
+    path.
 
     ``trace_events`` holds the merged per-trial trace records when the
     sweep ran under an installed :class:`~repro.obs.tracer.Tracer`
@@ -572,70 +562,45 @@ def _pop_worker_traces(records: List[Record], tracer) -> List[Dict[str, Any]]:
     return merged
 
 
-def _pop_worker_metrics(records: List[Record]) -> int:
-    """Strip the piggy-backed ``__metrics__`` deltas off the records and
-    merge the foreign-pid ones into this process's registry.
+def _pop_worker_metrics(records: List[Record],
+                        engine: str) -> List[Dict[str, Any]]:
+    """Strip the ``__metrics__`` payloads off the records, merge the
+    foreign-pid deltas into this process's registry, and return one
+    :attr:`SweepReport.workers` entry per pid, built by summing that
+    pid's per-trial deltas.
 
-    Same-pid payloads (thread-mode pools, the serial fallback) are
-    dropped unmerged: their updates already landed in this registry
-    directly, and merging the delta again would double-count.  Returns
-    the number of deltas merged (diagnostics/tests).
+    Trials that ran in this process (the serial path, thread-mode pools)
+    already updated this registry directly, so their deltas count
+    towards their entry but are not merged again.  Such trials never
+    overlap: the serial path runs them one after another and a
+    thread-mode pool has a single lane.
     """
+    from .kernels import kernel_stats
+
     own_pid = os.getpid()
-    merged = 0
+    totals: Dict[int, obs_metrics.MetricsRegistry] = {}
+    rss_kb: Dict[int, Optional[int]] = {}
     for record in records:
-        payload = record.pop("__metrics__", None)
-        if payload is None or payload["pid"] == own_pid:
-            continue
+        payload = record.pop("__metrics__")
+        pid = payload["pid"]
+        total = totals.get(pid)
+        if total is None:
+            total = totals[pid] = obs_metrics.MetricsRegistry()
+        if payload["rss_kb"] is not None:
+            rss_kb[pid] = max(rss_kb.get(pid) or 0, payload["rss_kb"])
         try:
-            obs_metrics.merge(payload["metrics"])
+            total.merge(payload["metrics"])
+            if pid != own_pid:
+                obs_metrics.merge(payload["metrics"])
         except obs_metrics.MetricError:
             # A worker on a different code revision (or with clashing
             # bucket layouts) must not poison the sweep's results.
             continue
-        merged += 1
-    return merged
-
-
-def _pop_worker_stats(records: List[Record]) -> List[Dict[str, Any]]:
-    """Strip the piggy-backed ``__worker__`` snapshots off the records
-    and reduce them to one final snapshot per worker pid."""
-    by_pid: Dict[int, Dict[str, Any]] = {}
-    for record in records:
-        snap = record.pop("__worker__", None)
-        if snap is None:
-            continue
-        prev = by_pid.get(snap["pid"])
-        if prev is None or snap["runs"] >= prev["runs"]:
-            by_pid[snap["pid"]] = snap
-    return [by_pid[pid] for pid in sorted(by_pid)]
-
-
-def _stats_delta(before: Dict[str, Any], after: Dict[str, Any],
-                 engine: str) -> Dict[str, Any]:
-    """Kernel-counter delta for the serial path (the in-process counters
-    are cumulative and may predate the sweep)."""
-
-    def sub(field: str) -> Dict[str, int]:
-        return {
-            name: count - before[field].get(name, 0)
-            for name, count in after[field].items()
-            if count - before[field].get(name, 0)
-        }
-
-    from ..obs.manifest import peak_rss_kb
-
-    return {
-        "pid": os.getpid(),
-        "engine": engine,
-        "runs": after["runs"] - before["runs"],
-        "hits": after["hits"] - before["hits"],
-        "fallbacks": after["fallbacks"] - before["fallbacks"],
-        "warmup_s": after["warmup_s"] - before["warmup_s"],
-        "by_kernel": sub("by_kernel"),
-        "by_reason": sub("by_reason"),
-        "rss_kb": peak_rss_kb(),
-    }
+    return [
+        dict(kernel_stats(totals[pid].snapshot()),
+             pid=pid, engine=engine, rss_kb=rss_kb.get(pid))
+        for pid in sorted(totals)
+    ]
 
 
 def parallel_sweep(measure: Measure,
@@ -730,12 +695,11 @@ def parallel_sweep(measure: Measure,
     tracer = current_tracer()
     start = time.perf_counter()
     tasks = [
-        (measure, dict(params), timing, report, tracer is not None)
+        (measure, dict(params), timing, tracer is not None)
         for params in params_list
     ]
     workers = min(resolve_workers(max_workers), max(1, len(tasks)))
     records: Optional[List[Record]] = None
-    worker_stats: List[Dict[str, Any]] = []
     trace_events: List[Dict[str, Any]] = []
     own_pool: Optional[WorkerPool] = None
     dispatch = pool
@@ -762,28 +726,17 @@ def parallel_sweep(measure: Measure,
                     with tracer.span("algorithm", "parallel-sweep",
                                      trials=len(tasks), engine=resolved):
                         trace_events = _pop_worker_traces(records, tracer)
-                _pop_worker_metrics(records)
-                worker_stats = _pop_worker_stats(records)
         if records is None:
-            from .kernels import kernel_stats
-
             # The serial fallback runs in-process, where the parent's
             # tracer is already ambient: trials trace straight into it,
             # no merge.
-            serial_tasks = [
-                (m, p, t, False, False) for (m, p, t, _, _) in tasks
-            ]
-            before = kernel_stats() if report else None
+            serial_tasks = [(m, p, t, False) for (m, p, t, _) in tasks]
             with use_engine(resolved), use_shards(resolved_shards):
                 records = [_call_measure(task) for task in serial_tasks]
-            _pop_worker_metrics(records)
-            if report:
-                worker_stats = [
-                    _stats_delta(before, kernel_stats(), resolved)
-                ]
     finally:
         if own_pool is not None:
             own_pool.close()
+    worker_stats = _pop_worker_metrics(records, resolved)
     if not report:
         return records
     return SweepReport(

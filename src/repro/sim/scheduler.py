@@ -81,7 +81,8 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracer import current_tracer
@@ -188,6 +189,13 @@ class Scheduler:
         #: search) use it instead of per-node halting.
         self.stop_when = stop_when
         self.rounds_executed = 0
+        #: The latest run's kernel dispatch outcome (``kernel`` /
+        #: ``backend`` / ``fallback`` / ``warmup_s``), handed over by the
+        #: vectorized and sharded engines for traced runs to annotate.
+        self.dispatch_info: Optional[Dict[str, Any]] = None
+        #: The latest engaged sharded run's record (the ``last_run``
+        #: entry of :func:`repro.sim.sharded.shard_stats`).
+        self.shard_run: Optional[Dict[str, Any]] = None
 
     def run(self, max_rounds: int = DEFAULT_MAX_ROUNDS,
             engine: Optional[str] = None) -> CostLedger:
@@ -246,78 +254,49 @@ class Scheduler:
         records are engine-invariant (the ledger delta is covered by the
         engine-equivalence contract); ``engine`` / ``kernel`` /
         ``fallback`` / wall-clock ride along as physical fields, with
-        kernel attribution recovered from the process
-        :class:`~repro.sim.kernels.KernelStats` delta.
+        kernel attribution handed over by the engine itself
+        (:attr:`dispatch_info`, :attr:`shard_run`).
         """
-        from .kernels import kernel_stats
-
         ledger = self.ledger
         before = (ledger.rounds, ledger.messages, ledger.bits,
                   ledger.broadcasts)
-        kernelized = name in ("vectorized", "sharded")
-        kstats_before = kernel_stats() if kernelized else None
-        sstats_before = None
-        if name == "sharded":
-            from .sharded import shard_stats
-
-            sstats_before = shard_stats()
+        self.dispatch_info = self.shard_run = None
         with tracer.span("run", "scheduler",
                          nodes=len(self.programs)) as span:
             try:
                 return self._dispatch(name, max_rounds)
             finally:
-                kernel = fallback = backend = None
-                warmup_s = 0.0
-                if kstats_before is not None:
-                    kstats = kernel_stats()
-                    warmup_s = kstats["warmup_s"] - kstats_before["warmup_s"]
-                    for key, count in kstats["by_kernel"].items():
-                        if count > kstats_before["by_kernel"].get(key, 0):
-                            kernel = key
-                            break
-                    for key, count in kstats["by_reason"].items():
-                        if count > kstats_before["by_reason"].get(key, 0):
-                            fallback = key
-                            break
-                    for key, count in kstats["by_backend"].items():
-                        if count > kstats_before["by_backend"].get(key, 0):
-                            backend = key.rsplit("[", 1)[-1].rstrip("]")
-                            break
+                info = self.dispatch_info or {}
+                kernel = info.get("kernel")
+                fallback = info.get("fallback")
+                backend = info.get("backend")
+                if name in ("vectorized", "sharded"):
                     tracer.annotate(
                         "dispatch", kernel=kernel, fallback=fallback,
-                        backend=backend, warmup_s=warmup_s,
+                        backend=backend,
+                        warmup_s=info.get("warmup_s", 0.0),
                     )
-                shards = halo_bytes = barrier_wait_s = None
-                if sstats_before is not None:
-                    from .sharded import shard_stats
-
-                    sstats = shard_stats()
-                    last = sstats["last_run"]
-                    if (sstats["engaged"] > sstats_before["engaged"]
-                            and last is not None):
-                        shards = last["shards"]
-                        halo_bytes = last["halo_bytes"]
-                        barrier_wait_s = last["barrier_wait_s"]
-                        # Physical records (kind="kernel" is in
-                        # PHYSICAL_KINDS): per-shard stats never enter
-                        # the logical byte-identity contract.
-                        for entry in last["per_shard"]:
-                            tracer.annotate(
-                                "shard",
-                                shard=entry["shard"],
-                                shards=shards,
-                                halo_bytes=(entry["halo_in_bytes"]
-                                            + entry["halo_out_bytes"]),
-                                barrier_wait_s=entry["barrier_wait_s"],
-                            )
+                last = self.shard_run
+                if last is not None:
+                    # Physical records (kind="kernel" is in
+                    # PHYSICAL_KINDS): per-shard stats never enter the
+                    # logical byte-identity contract.
+                    for entry in last["per_shard"]:
+                        tracer.annotate(
+                            "shard",
+                            shard=entry["shard"],
+                            shards=last["shards"],
+                            halo_bytes=(entry["halo_in_bytes"]
+                                        + entry["halo_out_bytes"]),
+                            barrier_wait_s=entry["barrier_wait_s"],
+                        )
+                    span.attrs.update(
+                        shards=last["shards"],
+                        halo_bytes=last["halo_bytes"],
+                        barrier_wait_s=last["barrier_wait_s"],
+                    )
                 from ..obs.manifest import peak_rss_kb
 
-                if shards is not None:
-                    span.attrs.update(
-                        shards=shards,
-                        halo_bytes=halo_bytes,
-                        barrier_wait_s=barrier_wait_s,
-                    )
                 span.attrs.update(
                     rounds=ledger.rounds - before[0],
                     messages=ledger.messages - before[1],
@@ -593,25 +572,25 @@ class Scheduler:
         # Local imports: avoid an import cycle with the kernel layer.
         from .kernels import _record_fallback, _record_hit, kernel_for
 
-        if self.observer is not None or self.stop_when is not None:
-            _record_fallback(
-                "observer" if self.observer is not None else "stop_when"
-            )
+        def fall_back(reason: str, warmup_s: float = 0.0) -> CostLedger:
+            self.dispatch_info = _record_fallback(reason, warmup_s)
             return self._run_fast(max_rounds)
+
+        if self.observer is not None:
+            return fall_back("observer")
+        if self.stop_when is not None:
+            return fall_back("stop_when")
         programs_map = self.programs
         if not programs_map:
-            _record_fallback("empty")
-            return self._run_fast(max_rounds)
+            return fall_back("empty")
         iterator = iter(programs_map.values())
         cls = next(iterator).__class__
         for program in iterator:
             if program.__class__ is not cls:
-                _record_fallback("mixed")
-                return self._run_fast(max_rounds)
+                return fall_back("mixed")
         factory = kernel_for(cls)
         if factory is None:
-            _record_fallback("unregistered")
-            return self._run_fast(max_rounds)
+            return fall_back("unregistered")
 
         compiled = self.network.compile()
         programs = [programs_map[node] for node in compiled.order]
@@ -620,10 +599,10 @@ class Scheduler:
         columns = kernel.prepare(compiled, programs, self.bandwidth)
         warmup_s = time.perf_counter() - warmup_start
         if columns is None:
-            _record_fallback("declined", warmup_s)
-            return self._run_fast(max_rounds)
-        _record_hit(type(kernel).__name__, warmup_s,
-                    getattr(kernel, "backend", "python"))
+            return fall_back("declined", warmup_s)
+        self.dispatch_info = _record_hit(
+            type(kernel).__name__, warmup_s,
+            getattr(kernel, "backend", "python"))
 
         ledger = self.ledger
         step = kernel.step

@@ -40,7 +40,8 @@ import os
 import pickle
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from ..graphs.partition import Partition, partition_by_edges
 from ..obs import metrics as obs_metrics
@@ -55,7 +56,6 @@ __all__ = [
     "ShardSpec",
     "default_shards",
     "register_sharded",
-    "reset_shard_stats",
     "set_default_shards",
     "shard_stats",
     "sharded_for",
@@ -180,53 +180,54 @@ def sharded_for(program_class: type
 # ----------------------------------------------------------------------
 # Process-level statistics
 # ----------------------------------------------------------------------
-class ShardStats:
-    """Cumulative sharded-engine counters (mirrors ``KernelStats``)."""
-
-    def __init__(self):
-        self.runs = 0
-        self.engaged = 0
-        self.fallbacks = 0
-        self.by_reason: Dict[str, int] = {}
-        self.by_shards: Dict[int, int] = {}
-        self.by_mode: Dict[str, int] = {}
-        self.halo_bytes = 0
-        self.barrier_wait_s = 0.0
-        self.last_run: Optional[Dict[str, Any]] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "runs": self.runs,
-            "engaged": self.engaged,
-            "fallbacks": self.fallbacks,
-            "by_reason": dict(self.by_reason),
-            "by_shards": dict(self.by_shards),
-            "by_mode": dict(self.by_mode),
-            "halo_bytes": self.halo_bytes,
-            "barrier_wait_s": self.barrier_wait_s,
-            "last_run": (dict(self.last_run)
-                         if self.last_run is not None else None),
-        }
+#: The most recent engaged run's record (``shard_stats()["last_run"]``):
+#: a per-run description, not a tally, so it lives outside the registry.
+_last_run: Optional[Dict[str, Any]] = None
 
 
-_stats = ShardStats()
+def shard_stats(snap: Optional[Mapping[str, Any]] = None
+                ) -> Dict[str, Any]:
+    """This process's sharded-engine counts, read from the registry.
 
-
-def shard_stats() -> Dict[str, Any]:
-    """A snapshot of this process's cumulative sharded-engine stats."""
-    return _stats.as_dict()
-
-
-def reset_shard_stats() -> None:
-    """Zero the counters (benchmark harnesses, tests)."""
-    global _stats
-    _stats = ShardStats()
+    ``runs = engaged + fallbacks``; ``by_reason`` counts fallbacks,
+    ``by_shards`` / ``by_mode`` count engaged runs, and ``halo_bytes`` /
+    ``barrier_wait_s`` accumulate over them.  ``snap`` reads a registry
+    snapshot or delta instead of the live registry.  ``last_run``
+    describes the most recent engaged run in this process (``None``
+    before the first) and is not cleared by
+    :func:`repro.obs.metrics.reset_metrics`.
+    """
+    if snap is None:
+        snap = obs_metrics.snapshot()
+    values = obs_metrics.sample_values
+    by_shards: Dict[int, int] = {}
+    by_mode: Dict[str, int] = {}
+    for (mode, shards), count in values(
+            snap, "repro_shard_runs_total").items():
+        by_shards[int(shards)] = by_shards.get(int(shards), 0) + int(count)
+        by_mode[mode] = by_mode.get(mode, 0) + int(count)
+    by_reason = {
+        reason: int(count) for (reason,), count in values(
+            snap, "repro_shard_fallbacks_total").items()
+    }
+    engaged = sum(by_mode.values())
+    fallbacks = sum(by_reason.values())
+    return {
+        "runs": engaged + fallbacks,
+        "engaged": engaged,
+        "fallbacks": fallbacks,
+        "by_reason": by_reason,
+        "by_shards": by_shards,
+        "by_mode": by_mode,
+        "halo_bytes": int(values(
+            snap, "repro_shard_halo_bytes_total").get((), 0)),
+        "barrier_wait_s": values(
+            snap, "repro_shard_barrier_wait_seconds_total").get((), 0.0),
+        "last_run": dict(_last_run) if _last_run is not None else None,
+    }
 
 
 def _record_shard_fallback(reason: str) -> None:
-    _stats.runs += 1
-    _stats.fallbacks += 1
-    _stats.by_reason[reason] = _stats.by_reason.get(reason, 0) + 1
     obs_metrics.counter(
         "repro_shard_fallbacks_total",
         "Sharded-engine fallbacks by reason", ("reason",),
@@ -1038,6 +1039,7 @@ def run_sharded(scheduler, max_rounds: int):
     engine (which applies its own fallback chain), so ``sharded`` is
     always a safe default engine.
     """
+    global _last_run
     from .kernels import _record_hit
 
     def fall_back(reason: str):
@@ -1088,10 +1090,6 @@ def run_sharded(scheduler, max_rounds: int):
         )
     warmup_s = time.perf_counter() - warmup_start
 
-    _stats.runs += 1
-    _stats.engaged += 1
-    _stats.by_shards[shards] = _stats.by_shards.get(shards, 0) + 1
-    _stats.by_mode[mode] = _stats.by_mode.get(mode, 0) + 1
     obs_metrics.counter(
         "repro_shard_runs_total",
         "Engaged sharded-engine runs by mode and shard count",
@@ -1105,8 +1103,8 @@ def run_sharded(scheduler, max_rounds: int):
                and type(scheduler.bandwidth) is LocalModel
                and compiled.numpy_views() is not None
                else "python")
-    _record_hit(f"Sharded{spec.name}Kernel", warmup_s,
-                f"{backend}-x{shards}")
+    scheduler.dispatch_info = _record_hit(
+        f"Sharded{spec.name}Kernel", warmup_s, f"{backend}-x{shards}")
 
     ledger = scheduler.ledger
     rounds = 0
@@ -1148,8 +1146,6 @@ def run_sharded(scheduler, max_rounds: int):
                 for shard in range(partition.shards)
             ]
             halo_total = sum(runner.halo_in) + sum(runner.halo_out)
-            _stats.halo_bytes += halo_total
-            _stats.barrier_wait_s += sum(runner.barrier_wait_s)
             if halo_total:
                 obs_metrics.counter(
                     "repro_shard_halo_bytes_total",
@@ -1172,7 +1168,7 @@ def run_sharded(scheduler, max_rounds: int):
                     "Busiest shard compute time over the mean "
                     "(last engaged run)",
                 ).set(max(compute) / mean_compute)
-            _stats.last_run = {
+            _last_run = scheduler.shard_run = {
                 "shards": partition.shards,
                 "mode": mode,
                 "backend": backend,

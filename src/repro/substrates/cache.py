@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..obs import metrics as obs_metrics
 from ..sim.message import CACHE_ENV
@@ -60,12 +60,6 @@ _enabled = os.environ.get(CACHE_ENV, "1") != "0"
 #: ``registry name -> {key -> derived object}``.  Registries are created
 #: on first use so this module stays agnostic of what is cached.
 _registries: Dict[str, Dict[Any, Any]] = {}
-
-#: ``registry name -> {"hits": int, "misses": int}``.  Consumers that
-#: want their lookups observable call :func:`record_lookup`; the serve
-#: daemon and run manifests read :func:`cache_counters` to report how
-#: warm a request or run actually was.
-_counters: Dict[str, Dict[str, int]] = {}
 
 #: What :func:`load_from_disk` / :func:`save_to_disk` last did, for
 #: ``/stats`` and manifests (the difference between "no disk cache
@@ -116,12 +110,6 @@ def record_lookup(name: str, hit: bool) -> None:
     ``get`` was a hit.  Counting is unconditional on cache state so a
     disabled cache shows up as all-misses, not as silence.
     """
-    entry = _counters.get(name)
-    if entry is None:
-        entry = _counters[name] = {"hits": 0, "misses": 0}
-    entry["hits" if hit else "misses"] += 1
-    # Dual-write into the unified registry; the dict above remains the
-    # authoritative view read by manifests and /stats.
     obs_metrics.counter(
         "repro_cache_lookups_total",
         "Substrate-cache lookups by registry and outcome",
@@ -129,19 +117,25 @@ def record_lookup(name: str, hit: bool) -> None:
     ).labels(registry=name, outcome="hit" if hit else "miss").inc()
 
 
-def cache_counters() -> Dict[str, Dict[str, int]]:
+def cache_counters(snap: Optional[Mapping[str, Any]] = None
+                   ) -> Dict[str, Dict[str, int]]:
     """``{registry name: {"hits", "misses"}}`` for every counted lookup.
 
-    Counters are cumulative for the process; callers wanting per-request
-    attribution snapshot before and after (see
-    :func:`repro.serve.executor.counters_delta`).
+    Read from the process metrics registry, where the counts are
+    cumulative (the serve daemon's include its workers' merged deltas);
+    ``snap`` reads a registry snapshot or delta instead -- the serve
+    executor passes one request's delta for per-request attribution.
+    The serve daemon and run manifests report these to show how warm a
+    request or run actually was.
     """
-    return {name: dict(entry) for name, entry in _counters.items()}
-
-
-def reset_cache_counters() -> None:
-    """Zero the hit/miss counters (tests and per-worker accounting)."""
-    _counters.clear()
+    if snap is None:
+        snap = obs_metrics.snapshot()
+    counters: Dict[str, Dict[str, int]] = {}
+    for (name, outcome), count in obs_metrics.sample_values(
+            snap, "repro_cache_lookups_total").items():
+        entry = counters.setdefault(name, {"hits": 0, "misses": 0})
+        entry["hits" if outcome == "hit" else "misses"] += int(count)
+    return counters
 
 
 def disk_state() -> Dict[str, Any]:

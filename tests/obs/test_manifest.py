@@ -56,6 +56,24 @@ class TestCollectManifest:
         assert "enabled" in manifest["caches"]
         assert isinstance(manifest["caches"]["registries"], dict)
 
+    def test_rss_section_holds_only_own_peak(self):
+        # A forked child starts with the parent's resident pages, so a
+        # children figure would only repeat this process's own peak.
+        rss = collect_manifest()["rss"]
+        assert set(rss) == {"max_rss_kb"}
+        assert rss["max_rss_kb"] > 0
+
+    def test_counts_are_views_of_the_metrics_section(self):
+        from repro.sim import kernel_stats, shard_stats
+        from repro.substrates.cache import cache_counters, record_lookup
+
+        record_lookup("manifest-test", hit=True)
+        manifest = collect_manifest()
+        snap = manifest["metrics"]
+        assert manifest["kernels"] == kernel_stats(snap)
+        assert manifest["caches"]["counters"] == cache_counters(snap)
+        assert manifest["sharded"]["stats"] == shard_stats(snap)
+
     def test_json_serializable(self):
         json.dumps(collect_manifest())
 

@@ -328,18 +328,19 @@ class TestModuleSingleton:
         finally:
             m.reset_metrics()
 
-    def test_disable_enable(self):
-        m.reset_metrics()
-        try:
-            m.set_metrics_enabled(False)
-            m.counter("repro_off_total", "t").inc()
-            assert "repro_off_total" not in {
-                name for name, entry in m.snapshot().items()
-                if entry["samples"]
-            }
-        finally:
-            m.set_metrics_enabled(True)
-            m.reset_metrics()
+    def test_sample_values_reads_snapshots_and_deltas(self, registry):
+        hits = registry.counter("repro_sv_total", "t", ("kind", "outcome"))
+        hits.labels(kind="a", outcome="hit").inc(2)
+        before = registry.snapshot()
+        hits.labels(kind="a", outcome="hit").inc()
+        hits.labels(kind="b", outcome="miss").inc()
+        after = registry.snapshot()
+        assert m.sample_values(after, "repro_sv_total") == {
+            ("a", "hit"): 3.0, ("b", "miss"): 1.0}
+        assert m.sample_values(snapshot_delta(before, after),
+                               "repro_sv_total") == {
+            ("a", "hit"): 1.0, ("b", "miss"): 1.0}
+        assert m.sample_values(after, "repro_absent_total") == {}
 
 
 class TestFlusher:
@@ -378,8 +379,14 @@ class TestFlusher:
 
 
 class TestLogicalInvariance:
-    def test_colors_and_ledger_identical_with_metrics_off(self):
-        """Instrumentation observes; it must never perturb results."""
+    def test_colors_and_ledger_independent_of_registry_state(self):
+        """Instrumentation observes; it must never perturb results.
+
+        The registry is the only store of counts and cannot be switched
+        off, so the check is that a run on a freshly reset registry and
+        a run on one already holding counts give identical colors and
+        ledgers, while the registry does record both runs.
+        """
         from repro.coloring import random_oldc_instance
         from repro.core import two_sweep
         from repro.graphs import gnp_graph, orient_by_id, sequential_ids
@@ -395,12 +402,18 @@ class TestLogicalInvariance:
                                check=False)
             return sorted(result.colors.items()), ledger.to_dict()
 
+        def runs_recorded():
+            return sum(m.sample_values(
+                m.snapshot(), "repro_sim_runs_total").values())
+
         m.reset_metrics()
-        with_metrics = run()
-        m.set_metrics_enabled(False)
         try:
-            without_metrics = run()
+            fresh = run()
+            after_fresh = runs_recorded()
+            warm = run()
+            after_warm = runs_recorded()
         finally:
-            m.set_metrics_enabled(True)
             m.reset_metrics()
-        assert with_metrics == without_metrics
+        assert fresh == warm
+        assert after_fresh > 0
+        assert after_warm == 2 * after_fresh

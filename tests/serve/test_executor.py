@@ -7,12 +7,10 @@ import json
 import pytest
 
 from repro.obs.tracer import canonical_lines
-from repro.serve.executor import (
-    counters_delta,
-    execute_batch,
-    execute_request,
-)
+from repro.obs import metrics as obs_metrics
+from repro.serve.executor import execute_batch, execute_request
 from repro.serve.schema import parse_request
+from repro.substrates.cache import cache_counters, record_lookup
 
 
 def _spec(topology, algorithm, **extra):
@@ -22,14 +20,18 @@ def _spec(topology, algorithm, **extra):
 
 class TestCountersDelta:
     def test_only_moved_registries_reported(self):
-        before = {"a": {"hits": 1, "misses": 2}, "b": {"hits": 5,
-                                                       "misses": 0}}
-        after = {"a": {"hits": 4, "misses": 2}, "b": {"hits": 5,
-                                                      "misses": 0},
-                 "c": {"hits": 0, "misses": 1}}
-        assert counters_delta(before, after) == {
-            "a": {"hits": 3, "misses": 0},
-            "c": {"hits": 0, "misses": 1},
+        record_lookup("test-a", hit=True)
+        record_lookup("test-b", hit=True)
+        before = obs_metrics.snapshot()
+        record_lookup("test-a", hit=True)
+        record_lookup("test-a", hit=True)
+        record_lookup("test-c", hit=False)
+        delta = obs_metrics.snapshot_delta(before, obs_metrics.snapshot())
+        moved = {name: counts for name, counts in cache_counters(delta).items()
+                 if name.startswith("test-")}
+        assert moved == {
+            "test-a": {"hits": 2, "misses": 0},
+            "test-c": {"hits": 0, "misses": 1},
         }
 
 

@@ -57,7 +57,13 @@ def loaded_server():
                             max_queue=256)
     requests_per_client = 6
     clients = 4
-    scrapes = {"stats": [], "metrics": [], "errors": []}
+    scrapers = 2
+    # One list per scraper: appends from different threads interleave
+    # in no particular order, so only a single scraper's list is in
+    # scrape order.
+    scrapes = {"stats": [[] for _ in range(scrapers)],
+               "metrics": [[] for _ in range(scrapers)],
+               "errors": []}
     with ServerHandle(server) as handle:
         def drive(worker_index: int) -> None:
             try:
@@ -69,19 +75,23 @@ def loaded_server():
             except Exception as error:  # noqa: BLE001 - surfaced below
                 scrapes["errors"].append(error)
 
-        def scrape() -> None:
+        def scrape(scraper: int) -> None:
             try:
                 with ServeClient(handle.host, handle.port) as client:
                     for _ in range(4):
-                        scrapes["stats"].append(client.stats())
-                        scrapes["metrics"].append(client.metrics())
+                        scrapes["stats"][scraper].append(client.stats())
+                        scrapes["metrics"][scraper].append(
+                            client.metrics())
             except Exception as error:  # noqa: BLE001 - surfaced below
                 scrapes["errors"].append(error)
 
         threads = [
             threading.Thread(target=drive, args=(index,))
             for index in range(clients)
-        ] + [threading.Thread(target=scrape) for _ in range(2)]
+        ] + [
+            threading.Thread(target=scrape, args=(scraper,))
+            for scraper in range(scrapers)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -135,18 +145,22 @@ class TestUnderLoad:
         assert stats["latency_ms"]["p50"] <= stats["latency_ms"]["p99"]
 
     def test_midbatch_scrapes_monotone(self, loaded_server):
-        """Every mid-batch /stats sees monotonically consistent totals."""
-        sequence = []
-        for payload in loaded_server["scrapes"]["stats"]:
-            snap = payload["metrics"]
-            count, _ = _hist_totals(snap, "repro_request_seconds")
-            served = _counter_total(snap, "repro_http_requests_total",
-                                    route="/color")
-            # The histogram observation lands before the HTTP counter,
-            # so a scrape between them may see count == served + 1.
-            assert 0 <= count - served <= 1
-            sequence.append(served)
-        assert sequence == sorted(sequence)
+        """Each scraper's mid-batch /stats see consistent totals that
+        never decrease from one of its scrapes to the next."""
+        for scraper_stats in loaded_server["scrapes"]["stats"]:
+            assert len(scraper_stats) == 4
+            sequence = []
+            for payload in scraper_stats:
+                snap = payload["metrics"]
+                count, _ = _hist_totals(snap, "repro_request_seconds")
+                served = _counter_total(
+                    snap, "repro_http_requests_total", route="/color")
+                # The histogram observation lands before the HTTP
+                # counter, so a scrape between them may see
+                # count == served + 1.
+                assert 0 <= count - served <= 1
+                sequence.append(served)
+            assert sequence == sorted(sequence)
 
     def test_midbatch_exposition_is_valid(self, loaded_server):
         scripts = str(pathlib.Path(__file__).resolve().parents[2]
@@ -156,8 +170,9 @@ class TestUnderLoad:
             from validate_prometheus import validate_text
         finally:
             sys.path.remove(scripts)
-        for text in loaded_server["scrapes"]["metrics"]:
-            assert validate_text(text) == []
+        for scraper_texts in loaded_server["scrapes"]["metrics"]:
+            for text in scraper_texts:
+                assert validate_text(text) == []
         assert validate_text(loaded_server["final_text"]) == []
 
     def test_gauges_present_in_exposition(self, loaded_server):

@@ -283,6 +283,34 @@ class TestProcessMode:
             pytest.skip("process pools unavailable in this sandbox")
 
 
+    def test_stats_cache_counters_match_registry(self):
+        # Worker lookups reach the daemon only as merged registry
+        # deltas; /stats must report them, not just the daemon's own.
+        server = ColoringServer(mode="process", workers=1, max_batch=4)
+        try:
+            with ServerHandle(server) as handle:
+                if server.supervisor.pool.mode != "process":
+                    pytest.skip("process pools unavailable: "
+                                f"{server.supervisor.pool.fallback_reason}")
+                with ServeClient(handle.host, handle.port) as conn:
+                    status, payload = conn.color(
+                        {"topology": GNP, "algorithm": SWEEP})
+                    assert status == 200
+                    assert payload["manifest"]["cache_counters"]
+                    stats = conn.stats()
+        except PermissionError:  # pragma: no cover - sandboxed CI
+            pytest.skip("process pools unavailable in this sandbox")
+        lookups = {}
+        for sample in stats["metrics"]["repro_cache_lookups_total"][
+                "samples"]:
+            labels = sample["labels"]
+            entry = lookups.setdefault(labels["registry"],
+                                       {"hits": 0, "misses": 0})
+            outcome = "hits" if labels["outcome"] == "hit" else "misses"
+            entry[outcome] += int(sample["value"])
+        assert stats["caches"]["counters"] == lookups
+
+
 class TestWarmBoot:
     def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
         # Satellite contract: a daemon spills its substrate cache at

@@ -16,7 +16,8 @@ import pytest
 from repro.graphs import gnp_graph, sequential_ids
 from repro.sim import CostLedger, use_engine
 from repro.sim import arrays
-from repro.sim.kernels import kernel_stats, reset_kernel_stats
+from repro.obs.metrics import reset_metrics
+from repro.sim.kernels import kernel_stats
 from repro.substrates import linial_coloring
 
 
@@ -147,7 +148,7 @@ class TestPerChunkGating:
             return sorted(colors.items()), palette, ledger.rounds
 
         monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
-        reset_kernel_stats()
+        reset_metrics()
         unchunked = run()
         stats = kernel_stats()
         assert stats["by_backend"].get("AlgebraicRecoloringKernel[python]")
@@ -155,7 +156,7 @@ class TestPerChunkGating:
             "AlgebraicRecoloringKernel[numpy]")
 
         monkeypatch.setenv(arrays.CHUNK_ENV, "1")
-        reset_kernel_stats()
+        reset_metrics()
         chunked = run()
         stats = kernel_stats()
         assert stats["by_backend"].get("AlgebraicRecoloringKernel[numpy]")

@@ -30,11 +30,11 @@ from repro.sim import (
     kernel_stats,
     register_kernel,
     registered_kernels,
-    reset_kernel_stats,
     run_protocol,
     unregister_kernel,
     use_engine,
 )
+from repro.obs.metrics import reset_metrics
 from repro.sim.kernels import fanout_totals
 from repro.sim.message import set_payload_memo_enabled
 
@@ -347,7 +347,7 @@ def test_two_sweep_mixed_population_falls_back():
         network, programs = _two_sweep_path_programs()
         ledger = CostLedger()
         if engine == "vectorized":
-            reset_kernel_stats()
+            reset_metrics()
         outs, _ = run_protocol(
             network, programs, ledger=ledger, engine=engine
         )
@@ -378,7 +378,7 @@ def test_two_sweep_trace_declines_kernel():
         instance = random_oldc_instance(orient_by_id(network), p=2, seed=11)
         trace = []
         if engine == "vectorized":
-            reset_kernel_stats()
+            reset_metrics()
         with use_engine(engine):
             two_sweep(
                 instance, sequential_ids(network), len(network), 2,
@@ -393,14 +393,14 @@ def test_two_sweep_trace_declines_kernel():
 
 def test_kernel_stats_counters_track_hits():
     """A clean vectorized Two-Sweep run is recorded as one hit under the
-    kernel's class name, and ``reset_kernel_stats`` zeroes everything."""
+    kernel's class name, and ``reset_metrics`` zeroes everything."""
     from repro.coloring import random_oldc_instance
     from repro.core import two_sweep
     from repro.graphs import orient_by_id, sequential_ids
 
     network = gnp_graph(20, 0.2, seed=11)
     instance = random_oldc_instance(orient_by_id(network), p=2, seed=11)
-    reset_kernel_stats()
+    reset_metrics()
     with use_engine("vectorized"):
         two_sweep(instance, sequential_ids(network), len(network), 2)
     stats = kernel_stats()
@@ -408,7 +408,7 @@ def test_kernel_stats_counters_track_hits():
     assert stats["fallbacks"] == 0
     assert stats["by_kernel"] == {"TwoSweepKernel": 1}
     assert stats["warmup_s"] > 0.0
-    reset_kernel_stats()
+    reset_metrics()
     zeroed = kernel_stats()
     assert zeroed["runs"] == 0 and not zeroed["by_kernel"]
 
@@ -424,7 +424,7 @@ def test_tracing_preserves_kernel_hit_rate():
 
     network = gnp_graph(20, 0.2, seed=11)
     instance = random_oldc_instance(orient_by_id(network), p=2, seed=11)
-    reset_kernel_stats()
+    reset_metrics()
     tracer = Tracer()
     with use_engine("vectorized"), use_tracer(tracer):
         two_sweep(instance, sequential_ids(network), len(network), 2)
@@ -453,7 +453,7 @@ def test_fallback_reason_still_recorded_under_tracing():
 
     network = gnp_graph(20, 0.2, seed=11)
     instance = random_oldc_instance(orient_by_id(network), p=2, seed=11)
-    reset_kernel_stats()
+    reset_metrics()
     tracer = Tracer()
     trace = []
     with use_engine("vectorized"), use_tracer(tracer):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import grid, sweep
 from repro.sim import SweepReport, default_engine, use_engine
 from repro.sim.parallel import (
+    WorkerPool,
     derive_seed,
     parallel_sweep,
     resolve_workers,
@@ -164,7 +167,7 @@ class TestSweepReport:
         )
         assert list(report) == sweep(measure_square, grid(n=[2, 3]))
         assert report.records == list(report)
-        assert all("__worker__" not in record for record in report)
+        assert all("__metrics__" not in record for record in report)
 
     def test_describe_mentions_engine_and_workers(self):
         report = parallel_sweep(
@@ -328,3 +331,54 @@ class TestWorkerMetricsMerge:
         )
         assert rounds > 0
         assert messages > 0
+
+
+class TestOneStatsStore:
+    """Sweep reports and ``kernel_stats()`` read the one registry."""
+
+    PARAMS = [{"n": n} for n in (8, 9, 10, 11, 12, 13)]
+
+    @pytest.mark.parametrize("mode", ["process", "thread"])
+    def test_reused_pool_reports_only_this_sweeps_runs(self, mode):
+        with WorkerPool(max_workers=2, engine="vectorized",
+                        mode=mode) as pool:
+            reports = [
+                parallel_sweep(measure_two_sweep, self.PARAMS, pool=pool,
+                               report=True)
+                for _ in range(2)
+            ]
+        for report in reports:
+            # One kernelized run per trial, counted once per sweep.
+            assert sum(w["runs"] for w in report.workers) == len(self.PARAMS)
+            assert sum(w["hits"] for w in report.workers) == len(self.PARAMS)
+
+    def test_serial_and_pooled_worker_entries_share_keys(self):
+        serial = parallel_sweep(measure_two_sweep, self.PARAMS,
+                                max_workers=1, engine="vectorized",
+                                report=True)
+        pooled = parallel_sweep(measure_two_sweep, self.PARAMS,
+                                max_workers=2, engine="vectorized",
+                                report=True)
+        keys = {frozenset(w) for w in serial.workers + pooled.workers}
+        assert keys == {frozenset({
+            "pid", "engine", "rss_kb", "runs", "hits", "fallbacks",
+            "warmup_s", "by_kernel", "by_reason", "by_backend",
+        })}
+
+    def test_kernel_stats_equal_merged_registry_after_pooled_sweep(self):
+        from repro.obs import metrics as obs_metrics
+        from repro.sim import kernel_stats
+
+        obs_metrics.reset_metrics()
+        try:
+            report = parallel_sweep(measure_two_sweep, self.PARAMS,
+                                    max_workers=2, engine="vectorized",
+                                    report=True)
+            stats = kernel_stats()
+            dispatch = obs_metrics.snapshot()["repro_kernel_dispatch_total"]
+        finally:
+            obs_metrics.reset_metrics()
+        assert stats["runs"] == len(self.PARAMS)
+        assert stats["runs"] == sum(s["value"] for s in dispatch["samples"])
+        assert stats["runs"] == sum(w["runs"] for w in report.workers)
+        assert stats["by_kernel"] == {"TwoSweepKernel": len(self.PARAMS)}

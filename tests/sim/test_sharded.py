@@ -20,13 +20,12 @@ from repro.graphs.streaming import (
     stream_regular,
     stream_ring,
 )
-from repro.obs import Tracer, canonical_lines, use_tracer
+from repro.obs import Tracer, canonical_lines, reset_metrics, use_tracer
 from repro.sim import (
     CongestModel,
     CostLedger,
     AlgorithmFailure,
     default_shards,
-    reset_shard_stats,
     run_protocol,
     set_default_shards,
     shard_stats,
@@ -42,9 +41,9 @@ from repro.substrates.greedy import (
 
 @pytest.fixture(autouse=True)
 def _fresh_stats():
-    reset_shard_stats()
+    reset_metrics()
     yield
-    reset_shard_stats()
+    reset_metrics()
 
 
 def _ledger_state(ledger: CostLedger):

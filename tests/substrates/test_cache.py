@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.metrics import reset_metrics
 from repro.substrates import (
     PolynomialFamily,
     cache_enabled,
@@ -247,10 +248,10 @@ class TestDiskSpill:
 
 class TestCounters:
     def setup_method(self):
-        cache.reset_cache_counters()
+        reset_metrics()
 
     def teardown_method(self):
-        cache.reset_cache_counters()
+        reset_metrics()
 
     def test_record_lookup_counts_hits_and_misses(self):
         cache.record_lookup("widgets", False)
@@ -270,7 +271,7 @@ class TestCounters:
         from repro.substrates.cover_free import shared_family
 
         cache.clear_substrate_cache()
-        cache.reset_cache_counters()
+        reset_metrics()
         shared_family(9, 3, 1)
         shared_family(9, 3, 1)
         counters = cache.cache_counters()["families"]
@@ -281,7 +282,7 @@ class TestCounters:
 
         previous = cache.set_cache_enabled(False)
         try:
-            cache.reset_cache_counters()
+            reset_metrics()
             shared_family(9, 3, 1)
             shared_family(9, 3, 1)
             assert cache.cache_counters()["families"] == {
@@ -294,7 +295,7 @@ class TestCounters:
         from repro.graphs.generators import star_graph
 
         cache.clear_substrate_cache()
-        cache.reset_cache_counters()
+        reset_metrics()
         star_graph(23)
         star_graph(23)
         counters = cache.cache_counters()["networks"]

@@ -223,9 +223,9 @@ class TestTrace:
         assert streams["vectorized"] == streams["reference"]
 
     def test_kernel_stats_fallback_note(self, capsys):
-        from repro.sim import reset_kernel_stats
+        from repro.obs.metrics import reset_metrics
 
-        reset_kernel_stats()
+        reset_metrics()
         # The randomized baseline has no registered kernel, so the
         # vectorized engine records an 'unregistered' fallback.
         assert main([
