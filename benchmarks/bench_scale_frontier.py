@@ -29,7 +29,7 @@ ever materialized:
   are added (the segment is mapped, not copied).
 
 Chunked execution: the largest vectorized workload is also run once
-with ``REPRO_SIM_CHUNK`` set, recording the chunked wall-clock and
+with the ``chunk`` config field set, recording the chunked wall-clock and
 verifying the coloring is identical -- the memory knob must never be a
 semantics knob.
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import platform
 import sys
@@ -68,8 +67,8 @@ from repro.sim import (
     parallel_sweep,
     shard_stats,
     shm,
+    use_config,
     use_engine,
-    use_shards,
 )
 from repro.sim.compiled import CompiledNetwork
 from repro.obs.manifest import peak_rss_kb
@@ -164,11 +163,8 @@ def _bench_chunked(headline_n: int) -> Dict:
     compiled = stream_ring(headline_n)
     baseline, _, _, plain_s = _solve_ring(compiled, "vectorized")
     chunk = max(1, headline_n // 8)
-    os.environ["REPRO_SIM_CHUNK"] = str(chunk)
-    try:
+    with use_config(chunk=chunk):
         chunked, _, _, chunked_s = _solve_ring(compiled, "vectorized")
-    finally:
-        del os.environ["REPRO_SIM_CHUNK"]
     if chunked != baseline:
         raise AssertionError(
             f"chunked coloring diverged at n={headline_n} chunk={chunk}"
@@ -196,7 +192,7 @@ def _bench_sharded(headline_n: int) -> Dict:
     rows: List[Dict] = []
     for shards in SHARD_COUNTS:
         reset_metrics()
-        with use_shards(shards):
+        with use_config(shards=shards):
             result, q, rounds, wall_s = _solve_ring(compiled, "sharded")
         if result != baseline:
             raise AssertionError(

@@ -461,12 +461,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         await server.start()
-        pool = server.supervisor.stats()
-        # The "serving on" line is the daemon's readiness contract:
-        # benchmark harnesses parse the bound port from it (--port 0).
-        print(f"serving on http://{server.host}:{server.port} "
-              f"(mode={pool['mode']}, workers={pool['workers']}, "
-              f"engine={pool['engine']})", flush=True)
+        # Handlers go in after start() (which installs the shm cleanup
+        # handler) and before the readiness line: a SIGTERM sent the
+        # moment the line is read must reach the graceful stop below,
+        # or the pool workers outlive the daemon.
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -474,6 +472,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, ValueError):  # pragma: no cover
                 pass
+        pool = server.supervisor.stats()
+        # The "serving on" line is the daemon's readiness contract:
+        # benchmark harnesses parse the bound port from it (--port 0).
+        print(f"serving on http://{server.host}:{server.port} "
+              f"(mode={pool['mode']}, workers={pool['workers']}, "
+              f"engine={pool['engine']})", flush=True)
         await stop.wait()
         print("shutting down", flush=True)
         await server.stop()
@@ -726,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="TCP port (0 picks a free one; the bound "
                            "port is printed on the 'serving on' line)")
     p_sv.add_argument("--workers", type=int, default=None,
-                      help="pool size (default: REPRO_PARALLEL_WORKERS "
+                      help="pool size (default: REPRO_PARALLEL "
                            "or the CPU count)")
     p_sv.add_argument("--mode", choices=["process", "thread"],
                       default="process",
@@ -808,22 +812,22 @@ def _write_trace(args: argparse.Namespace, tracer, status: int) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        from .sim import set_default_engine
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be positive")
+    from .sim import SchedulerError
+    from .sim.config import current, set_config
 
-        set_default_engine(args.engine)
-    if args.shards is not None:
-        from .sim import set_default_shards
-
-        if args.shards < 1:
-            parser.error("--shards must be positive")
-        set_default_shards(args.shards)
-        if args.engine is None:
-            # Asking for shards without naming an engine means "run
-            # sharded": a shard count is inert on any other engine.
-            from .sim import set_default_engine
-
-            set_default_engine("sharded")
+    # Asking for shards without naming an engine means "run sharded": a
+    # shard count is inert on any other engine.  Flags left out leave
+    # the config alone.
+    flags = {"engine": args.engine or ("sharded" if args.shards else None),
+             "shards": args.shards}
+    set_config(**{name: value for name, value in flags.items()
+                  if value is not None})
+    try:
+        current()
+    except SchedulerError as error:
+        parser.error(str(error))
     def run_traced() -> int:
         if args.trace is not None:
             from .obs import Tracer, use_tracer

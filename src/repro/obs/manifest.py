@@ -1,8 +1,8 @@
 """Run manifests: the provenance record written next to every trace.
 
 A benchmark JSON or trace file without provenance answers *what* the
-numbers were but not *under which conditions* -- engine, seeds,
-``REPRO_SIM_*`` environment, cache and kernel counters, package and git
+numbers were but not *under which conditions* -- engine, seeds, the
+resolved execution config, cache and kernel counters, package and git
 versions.  :func:`collect_manifest` gathers all of that into one
 JSON-serializable dict (``kind: "manifest"``), written as the first line
 of a JSONL trace, the ``metadata`` of a Chrome trace, or a
@@ -21,13 +21,10 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from typing import Any, Dict, Mapping, Optional
 
 from .metrics import snapshot as metrics_snapshot
-
-#: Environment prefixes captured into the manifest (the knobs that can
-#: change what a run measures).
-ENV_PREFIXES = ("REPRO_SIM_", "REPRO_PARALLEL")
 
 #: Bumped when the manifest's key conventions change shape.
 MANIFEST_VERSION = 1
@@ -54,12 +51,18 @@ def _git_state() -> Optional[Dict[str, Any]]:
         return None
 
 
-def _captured_env() -> Dict[str, str]:
-    return {
-        key: value
-        for key, value in sorted(os.environ.items())
-        if key.startswith(ENV_PREFIXES)
-    }
+def _config_state(engine: Optional[str]) -> Optional[Dict[str, Any]]:
+    """The resolved execution config (:mod:`repro.sim.config`) -- every
+    knob that can change what a run measures, whichever layer set it."""
+    try:
+        from ..sim.config import current
+        from ..sim.errors import SimulationError
+    except ImportError:  # pragma: no cover - sim always ships
+        return None
+    try:
+        return asdict(current(engine=engine))
+    except SimulationError:  # an unknown engine, named by the caller
+        return None
 
 
 def _kernel_counters(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -72,40 +75,33 @@ def _kernel_counters(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 def _arrays_state() -> Optional[Dict[str, Any]]:
-    """Kernel array-backend provenance: enabled + NumPy version.
+    """Kernel array-backend provenance: the NumPy version in use.
 
-    ``{"enabled": False, "numpy": None}`` means the pure-Python columns
-    ran (NumPy missing or ``REPRO_SIM_ARRAYS=0``); the ``kernels``
-    section's ``by_backend`` counters say which kernels actually took
-    the array path.
+    ``{"numpy": None}`` means the pure-Python columns ran (NumPy missing
+    or the config's ``arrays`` field off); the ``kernels`` section's
+    ``by_backend`` counters say which kernels actually took the array
+    path.
     """
     try:
         from ..sim import arrays
 
-        return {
-            "enabled": arrays.arrays_enabled(),
-            "numpy": arrays.numpy_version(),
-        }
+        return {"numpy": arrays.numpy_version()}
     except ImportError:  # pragma: no cover - sim always ships
         return None
 
 
 def _sharded_state(snap: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Sharded-engine provenance: shard count plus run/halo counters.
+    """Sharded-engine run/halo counters.
 
-    ``shards`` is the resolved default shard count (override, then
-    ``REPRO_SIM_SHARDS``, then 1); ``stats`` is the cumulative
-    :func:`repro.sim.sharded.shard_stats` snapshot, whose ``last_run``
-    entry carries the per-shard halo-bytes and barrier-wait columns for
-    the most recent engaged run.
+    ``stats`` is the cumulative :func:`repro.sim.sharded.shard_stats`
+    snapshot, whose ``last_run`` entry carries the per-shard halo-bytes
+    and barrier-wait columns for the most recent engaged run (the shard
+    count itself is in the ``config`` section).
     """
     try:
         from ..sim import sharded
 
-        return {
-            "shards": sharded.default_shards(),
-            "stats": sharded.shard_stats(snap),
-        }
+        return {"stats": sharded.shard_stats(snap)}
     except ImportError:  # pragma: no cover - sim always ships
         return None
 
@@ -165,23 +161,20 @@ def collect_manifest(engine: Optional[str] = None,
                      ) -> Dict[str, Any]:
     """Gather the provenance of the current process into one dict.
 
-    ``engine`` defaults to the scheduler's resolved default;  ``seeds``
-    is whatever parameter mapping the caller wants recorded verbatim;
-    ``ledger`` (a :class:`~repro.sim.metrics.CostLedger`) contributes its
-    :meth:`~repro.sim.metrics.CostLedger.to_dict` as the run's logical
-    cost record; ``extra`` keys are merged last and win.
+    ``engine`` defaults to the execution config's engine, and the
+    ``config`` section is the whole resolved config with that engine;
+    ``seeds`` is whatever parameter mapping the caller wants recorded
+    verbatim; ``ledger`` (a :class:`~repro.sim.metrics.CostLedger`)
+    contributes its :meth:`~repro.sim.metrics.CostLedger.to_dict` as the
+    run's logical cost record; ``extra`` keys are merged last and win.
 
     One metrics-registry snapshot backs every count in the manifest:
     the ``metrics`` section itself (``None`` when nothing instrumented
     ran) and the ``kernels`` / ``sharded`` / ``caches`` views of it.
     """
-    if engine is None:
-        try:
-            from ..sim.scheduler import default_engine
-
-            engine = default_engine()
-        except ImportError:  # pragma: no cover - sim always ships
-            engine = None
+    config = _config_state(engine)
+    if engine is None and config is not None:
+        engine = config["engine"]
     try:
         from .. import __version__ as version
     except ImportError:  # pragma: no cover - package always importable
@@ -199,7 +192,7 @@ def collect_manifest(engine: Optional[str] = None,
         "argv": list(argv) if argv is not None else list(sys.argv),
         "engine": engine,
         "seeds": dict(seeds) if seeds is not None else None,
-        "env": _captured_env(),
+        "config": config,
         "git": _git_state(),
         "kernels": _kernel_counters(snap),
         "arrays": _arrays_state(),

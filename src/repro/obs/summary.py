@@ -108,10 +108,10 @@ def summarize_trace(manifest: Optional[Dict[str, Any]],
             f"git={commit[:12] if commit else 'n/a'}"
             f"{'+dirty' if git.get('dirty') else ''}"
         )
-        env = manifest.get("env") or {}
-        if env:
-            lines.append("env: " + " ".join(
-                f"{key}={value}" for key, value in sorted(env.items())
+        config = manifest.get("config") or {}
+        if config:
+            lines.append("config: " + " ".join(
+                f"{key}={value}" for key, value in config.items()
             ))
         rss = manifest.get("rss") or {}
         if rss.get("max_rss_kb") is not None:

@@ -56,7 +56,7 @@ class Batcher:
         self.supervisor = supervisor
         self.max_batch = max(1, max_batch)
         self.max_queue = max_queue
-        self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue(max_queue)
+        self._queue: Optional["asyncio.Queue[_Pending]"] = None
         self._holdover: Deque[_Pending] = deque()
         self._task: Optional["asyncio.Task"] = None
         self._dispatches: set = set()
@@ -69,17 +69,19 @@ class Batcher:
     # ------------------------------------------------------------------
     async def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Admit one request; resolves to its executor payload."""
-        if self._queue.full():
+        queue = self._admission()
+        if queue.full():
             raise ServerBusy(
                 f"admission queue full ({self.max_queue} waiting)"
             )
         item = _Pending(spec, asyncio.get_running_loop().create_future())
-        self._queue.put_nowait(item)
+        queue.put_nowait(item)
         return await item.future
 
     def depth(self) -> int:
         """Requests admitted but not yet dispatched."""
-        return self._queue.qsize() + len(self._holdover)
+        queued = self._queue.qsize() if self._queue is not None else 0
+        return queued + len(self._holdover)
 
     def stats(self) -> Dict[str, Any]:
         batches = self.batches
@@ -97,6 +99,14 @@ class Batcher:
     # ------------------------------------------------------------------
     # Dispatch loop
     # ------------------------------------------------------------------
+    def _admission(self) -> "asyncio.Queue[_Pending]":
+        """The admission queue, created on first use inside the serving
+        loop: before Python 3.10 a Queue binds the loop current at
+        construction, which is not the one ``asyncio.run`` serves on."""
+        if self._queue is None:
+            self._queue = asyncio.Queue(self.max_queue)
+        return self._queue
+
     def start(self) -> None:
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(
@@ -127,12 +137,13 @@ class Batcher:
 
     async def _next_batch(self) -> List[_Pending]:
         """Form the next micro-batch from waiting compatible requests."""
+        queue = self._admission()
         if not self._holdover:
-            self._holdover.append(await self._queue.get())
+            self._holdover.append(await queue.get())
         # Sweep everything already admitted into the holdover so the
         # batch sees the full waiting set, not just the queue head.
-        while not self._queue.empty():
-            self._holdover.append(self._queue.get_nowait())
+        while not queue.empty():
+            self._holdover.append(queue.get_nowait())
         first = self._holdover.popleft()
         batch = [first]
         rest: Deque[_Pending] = deque()

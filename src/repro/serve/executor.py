@@ -155,13 +155,12 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
                                        max(params["colors"], 2 * target))
     shards = params.get("shards", 1)
     if shards > 1:
-        from ..sim.scheduler import use_engine
-        from ..sim.sharded import use_shards
+        from ..sim.config import use_config
 
         # Inside a pool worker the sharded engine runs its shards
         # serially in-process (workers never nest pools), so the result
         # is byte-identical to the vectorized path by construction.
-        with use_shards(shards), use_engine("sharded"):
+        with use_config(engine="sharded", shards=shards):
             result = greedy_color_reduction(compiled, colors, q, target,
                                             ledger=ledger)
     else:

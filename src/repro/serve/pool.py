@@ -1,8 +1,8 @@
 """Pool supervision: keep a warm :class:`WorkerPool` alive across faults.
 
 The daemon's throughput story rests on one process-lifetime pool whose
-workers hold the warm state (substrate-cache snapshot, frozen engine,
-attached shm topologies).  The supervisor wraps that pool with the two
+workers hold the warm state (substrate-cache snapshot, frozen execution
+config, attached shm topologies).  The supervisor wraps that pool with the two
 things a long-running service needs on top:
 
 * **restart on breakage** -- a worker killed mid-task breaks a
@@ -18,8 +18,10 @@ things a long-running service needs on top:
 from __future__ import annotations
 
 import threading
+from dataclasses import asdict
 from typing import Any, Dict, Hashable, Mapping, Optional
 
+from ..sim.config import use_config
 from ..sim.parallel import PoolUnavailable, WorkerPool
 from .executor import execute_batch_metrics
 
@@ -30,8 +32,6 @@ class PoolSupervisor:
     def __init__(self, workers: Optional[int] = None,
                  engine: Optional[str] = None,
                  mode: str = "process"):
-        self._workers = workers
-        self._requested_engine = engine
         self._mode = mode
         self._lock = threading.Lock()
         self._topologies: Dict[Hashable, Any] = {}
@@ -43,7 +43,7 @@ class PoolSupervisor:
     @property
     def engine(self) -> str:
         """The engine frozen into the workers (stable across restarts)."""
-        return self.pool.engine
+        return self.pool.config.engine
 
     def warm(self) -> float:
         """Spawn workers now; returns warmup seconds (see ``WorkerPool``)."""
@@ -79,11 +79,10 @@ class PoolSupervisor:
         """
         with self._lock:
             old = self.pool
-            replacement = WorkerPool(
-                max_workers=self._workers,
-                engine=self._requested_engine or old.engine,
-                mode=self._mode,
-            )
+            # The replacement inherits the old pool's whole config, not
+            # whatever the environment says now.
+            with use_config(**asdict(old.config)):
+                replacement = WorkerPool(mode=self._mode)
             if self._topologies:
                 replacement.add_topologies(self._topologies)
             self.pool = replacement

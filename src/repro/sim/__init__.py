@@ -1,6 +1,7 @@
 """Synchronous message-passing round simulator (LOCAL and CONGEST)."""
 
 from .compiled import CompiledNetwork
+from .config import ExecutionConfig, set_config, use_config
 from .congest import BandwidthModel, CongestModel, LocalModel
 from .errors import (
     AlgorithmFailure,
@@ -47,10 +48,8 @@ from .sharded import (
     ShardSpec,
     default_shards,
     register_sharded,
-    set_default_shards,
     shard_stats,
     sharded_for,
-    use_shards,
 )
 from .scheduler import (
     DEFAULT_MAX_ROUNDS,
@@ -58,7 +57,6 @@ from .scheduler import (
     Scheduler,
     default_engine,
     run_protocol,
-    set_default_engine,
     use_engine,
 )
 from .tracing import RoundObserver, RoundRecord, expand_pairs
@@ -73,6 +71,7 @@ __all__ = [
     "CostLedger",
     "DEFAULT_MAX_ROUNDS",
     "ENGINES",
+    "ExecutionConfig",
     "InfeasibleInstanceError",
     "InstanceError",
     "KernelRound",
@@ -113,12 +112,11 @@ __all__ = [
     "registered_kernels",
     "run_protocol",
     "run_trials",
-    "set_default_engine",
-    "set_default_shards",
+    "set_config",
     "shard_stats",
     "sharded_for",
     "shm",
     "unregister_kernel",
+    "use_config",
     "use_engine",
-    "use_shards",
 ]

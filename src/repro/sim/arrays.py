@@ -10,11 +10,13 @@ numeric workload -- exactly what an ndarray backend batches well.
 
 This module is the single switch point for that backend:
 
-* **selection** -- NumPy importable *and* ``REPRO_SIM_ARRAYS`` unset or
-  not ``"0"`` means kernels may take the array path; otherwise they keep
-  their pure-Python columns.  The choice is transparent: results,
-  ledgers, exception order, and trace streams are bit-identical either
-  way (the equivalence suite runs the full matrix under both backends);
+* **selection** -- NumPy importable *and* the execution config's
+  ``arrays`` field on (``REPRO_SIM_ARRAYS`` unset or not ``"0"``; see
+  :mod:`repro.sim.config`) means kernels may take the array path;
+  otherwise they keep their pure-Python columns.  The choice is
+  transparent: results, ledgers, exception order, and trace streams
+  are bit-identical either way (the equivalence suite runs the full
+  matrix under both backends);
 * **overflow safety** -- the batched Horner accumulator holds values
   below ``m**2`` and colors below ``q``, so the array path is only taken
   when both fit comfortably in ``int64`` (:data:`MAX_FIELD`,
@@ -24,31 +26,13 @@ This module is the single switch point for that backend:
   :class:`~repro.substrates.cover_free.PolynomialFamily` and the small
   sort/bincount-style neighbor-color tallies shared by the greedy-sweep
   and color-reduction kernels.
-
-Process-pool workers inherit the parent's *resolved* decision via
-:func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
-mirroring how the engine choice is frozen at pool creation.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
-#: Environment switch: ``REPRO_SIM_ARRAYS=0`` disables the NumPy backend
-#: even when NumPy is importable.  Re-read on every decision (like
-#: ``REPRO_SIM_ENGINE``) so tests and operators can flip it mid-process.
-ARRAYS_ENV = "REPRO_SIM_ARRAYS"
-
-#: Environment knob: ``REPRO_SIM_CHUNK=<nodes>`` bounds how many nodes a
-#: vectorized kernel round materializes at once.  The dense per-round
-#: temporaries (an ``(n, m)`` evaluation matrix for the algebraic
-#: kernel) become ``(chunk, m)``, keeping peak RSS flat as n grows.
-#: Chunked execution is bit-identical to unchunked -- the chunks are
-#: pure index slices of the same gathers and reductions -- so this is a
-#: memory knob, never a semantics knob.  Unset, ``0``, or unparsable
-#: means "off" (whole-population rounds, the historical behavior).
-CHUNK_ENV = "REPRO_SIM_CHUNK"
+from . import config as _config
 
 #: Largest field size ``m`` the int64 Horner path accepts.  The
 #: accumulator peaks at ``(m - 1) * (m - 1) + (m - 1) < m**2``, and the
@@ -79,7 +63,6 @@ MAX_MATCH_ELEMENTS = 1 << 25
 
 _UNSET = object()
 _numpy_module: Any = _UNSET
-_override: Optional[bool] = None
 
 
 def _import_numpy() -> Optional[Any]:
@@ -98,12 +81,9 @@ def get_numpy() -> Optional[Any]:
     """The NumPy module when the array backend is enabled, else ``None``.
 
     ``None`` means "use the pure-Python columns": NumPy is not
-    importable, ``REPRO_SIM_ARRAYS=0`` is set, or a worker-side override
-    (:func:`set_arrays_override`) disables it.
+    importable, or the execution config's ``arrays`` field is off.
     """
-    if _override is False:
-        return None
-    if _override is None and os.environ.get(ARRAYS_ENV, "1") == "0":
+    if not _config.setting("arrays"):
         return None
     return _import_numpy()
 
@@ -111,20 +91,6 @@ def get_numpy() -> Optional[Any]:
 def arrays_enabled() -> bool:
     """Whether kernels may take the NumPy array path right now."""
     return get_numpy() is not None
-
-
-def set_arrays_override(enabled: Optional[bool]) -> Optional[bool]:
-    """Force the backend decision (``None`` restores env-based selection).
-
-    Process-pool workers receive the parent's resolved decision through
-    this hook so a mid-sweep environment change cannot split a sweep
-    across backends; tests use it to pin one backend.  Returns the
-    previous override.
-    """
-    global _override
-    previous = _override
-    _override = None if enabled is None else bool(enabled)
-    return previous
 
 
 def numpy_version() -> Optional[str]:
@@ -145,19 +111,19 @@ def _reset_import_cache() -> None:
 
 
 def chunk_size() -> int:
-    """The configured node-chunk bound; ``0`` disables chunking.
+    """The node-chunk bound of the execution config's ``chunk`` field;
+    ``0`` disables chunking.
 
-    Re-read from ``REPRO_SIM_CHUNK`` on every call (kernels freeze the
-    value at ``prepare`` time so one run never mixes granularities).
+    ``REPRO_SIM_CHUNK=<nodes>`` bounds how many nodes a vectorized
+    kernel round materializes at once: the dense per-round temporaries
+    (an ``(n, m)`` evaluation matrix for the algebraic kernel) become
+    ``(chunk, m)``, keeping peak RSS flat as n grows.  Chunked execution
+    is bit-identical to unchunked -- the chunks are pure index slices of
+    the same gathers and reductions -- so this is a memory knob, never a
+    semantics knob.  Kernels freeze the value at ``prepare`` time so one
+    run never mixes granularities.
     """
-    raw = os.environ.get(CHUNK_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value > 0 else 0
+    return _config.setting("chunk")
 
 
 def iter_chunks(total: int, chunk: int):

@@ -15,20 +15,13 @@ fallback for payloads that do not declare a size.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple
 
+from . import config as _config
+
 #: Bits charged per sequence for its length header.
 _LENGTH_HEADER_BITS = 8
-
-#: ``REPRO_SIM_CACHE=0`` disables every process-level memo table in the
-#: repository (this module's payload tables and the substrate caches in
-#: :mod:`repro.substrates.cache`).  Read once at import: the knob selects
-#: a process configuration, not a per-call mode.
-CACHE_ENV = "REPRO_SIM_CACHE"
-
-_memo_enabled = os.environ.get(CACHE_ENV, "1") != "0"
 
 #: Safety valve so pathological workloads (millions of distinct payloads)
 #: cannot grow the memo tables without bound.
@@ -48,26 +41,17 @@ _intern_table: Dict[Tuple[type, Any], Any] = {}
 _broadcast_table: Dict[Tuple[Any, ...], "Broadcast"] = {}
 
 
-def payload_memo_enabled() -> bool:
-    """Whether the payload memo/interning tables are active."""
-    return _memo_enabled
-
-
-def set_payload_memo_enabled(enabled: bool) -> bool:
-    """Toggle the memo tables (tests only); returns the previous state."""
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = bool(enabled)
-    if not enabled:
-        clear_payload_memo()
-    return previous
-
-
 def clear_payload_memo() -> None:
     """Drop every memoized payload size and interned payload/envelope."""
     _payload_bits_memo.clear()
     _intern_table.clear()
     _broadcast_table.clear()
+
+
+# The execution config's ``cache`` field (``REPRO_SIM_CACHE``) switches
+# these tables and the substrate registries together; switching it off
+# empties them.
+_config.on_cache_disabled(clear_payload_memo)
 
 
 def intern_payload(payload: Any) -> Any:
@@ -80,7 +64,7 @@ def intern_payload(payload: Any) -> Any:
     stay warm across senders, rounds, and trials.  Unhashable payloads
     are returned unchanged.
     """
-    if payload is None or not _memo_enabled:
+    if payload is None or not _config.caching:
         return payload
     try:
         key = (payload.__class__, payload)
@@ -127,7 +111,7 @@ def payload_bits(payload: Any) -> int:
     """
     if payload is None:
         return 0
-    if _memo_enabled:
+    if _config.caching:
         try:
             key = (payload.__class__, payload)
             cached = _payload_bits_memo.get(key)
@@ -283,7 +267,7 @@ def intern_broadcast(sender: Hashable, tag: str, payload: Any = None,
     under different declared sizes).  Unhashable payloads, and runs with
     ``REPRO_SIM_CACHE=0``, get a fresh envelope per call.
     """
-    if _memo_enabled:
+    if _config.caching:
         try:
             key = (sender, tag, payload.__class__, payload, bits)
             envelope = _broadcast_table.get(key)

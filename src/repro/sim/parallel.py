@@ -17,6 +17,8 @@ on:
   (some sandboxes lack POSIX semaphores), trials run serially in-process
   with identical results.
 
+Every pool resolves one :class:`~repro.sim.config.ExecutionConfig`
+when it is built and runs all of its work under it, in every mode.
 Workers additionally start with the parent's warm substrate caches
 (:mod:`repro.substrates.cache` -- schedules, prime tables, polynomial
 families), shipped once through the pool initializer; disable with
@@ -32,6 +34,8 @@ import hashlib
 import os
 import threading
 import time
+from dataclasses import asdict
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -44,13 +48,11 @@ from typing import (
 )
 
 from ..obs import metrics as obs_metrics
+from . import config as _config
+from .config import ExecutionConfig
 
 Record = Dict[str, Any]
 Measure = Callable[..., Record]
-
-#: Environment switch: ``REPRO_PARALLEL=0`` forces the serial fallback,
-#: ``REPRO_PARALLEL=<k>`` caps the worker count.
-_ENV_WORKERS = "REPRO_PARALLEL"
 
 
 def derive_seed(base_seed: int, trial_index: int) -> int:
@@ -67,16 +69,10 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
-    """The worker count to use: explicit arg, else env cap, else cores."""
-    if max_workers is not None:
-        return max(1, max_workers)
-    env = os.environ.get(_ENV_WORKERS)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    """The worker count to use: the ``workers`` field of the execution
+    config (explicit arg, else override, else ``REPRO_PARALLEL``, else
+    cores); at least 1."""
+    return _config.setting("workers", max_workers)
 
 
 def _call_measure(task):
@@ -139,23 +135,18 @@ def _substrate_snapshot():
     return substrate_cache.snapshot() or None
 
 
-def _init_worker(state, engine=None, arrays_enabled=None,
-                 topologies=None, shards=None):
-    """Pool initializer: seed a worker with the parent's caches,
-    scheduler engine, kernel array-backend decision, and shared-memory
-    topology handles.
+def _init_worker(state, config: ExecutionConfig, topologies=None):
+    """Pool initializer: seed a worker with the pool's execution config,
+    the parent's caches and its shared-memory topology handles.
 
-    The engine is resolved *once in the parent* (explicit argument, else
-    the parent's ``default_engine()`` -- which reads ``use_engine`` /
-    ``set_default_engine`` overrides and the parent's current
-    ``REPRO_SIM_ENGINE``) and shipped explicitly: a forked worker's
-    environment is frozen at spawn time, so without this an engine
-    selected after the pool exists would be silently ignored.  The
-    NumPy-backend decision (:func:`repro.sim.arrays.arrays_enabled`) is
-    frozen the same way so one sweep never splits across backends.
-    The metrics registry is zeroed: ``fork`` otherwise hands the worker
-    the parent's cumulative counts, which would show in its exposition
-    (the per-trial deltas the worker ships back cancel them anyway).
+    The config is resolved *once in the parent* when the pool is built
+    and installed here with one ``set_config``: a forked worker's
+    environment is frozen at spawn time, so without this a setting
+    changed after the pool exists would reach some workers and not
+    others, and one sweep could split across engines or backends.  The
+    metrics registry is zeroed: ``fork`` otherwise hands the worker the
+    parent's cumulative counts, which would show in its exposition (the
+    per-trial deltas the worker ships back cancel them anyway).
 
     ``topologies`` carries :mod:`repro.sim.shm` handles for topologies
     the parent published to shared memory -- a name and a shape per key,
@@ -171,16 +162,7 @@ def _init_worker(state, engine=None, arrays_enabled=None,
     from . import sharded as _sharded
 
     _sharded._mark_worker()
-    if shards is not None:
-        _sharded.set_default_shards(shards)
-    if engine is not None:
-        from .scheduler import set_default_engine
-
-        set_default_engine(engine)
-    if arrays_enabled is not None:
-        from .arrays import set_arrays_override
-
-        set_arrays_override(arrays_enabled)
+    _config.set_config(**asdict(config))
     obs_metrics.reset_metrics()
     if state is None:
         return
@@ -189,6 +171,14 @@ def _init_worker(state, engine=None, arrays_enabled=None,
     except ImportError:  # pragma: no cover - substrates always ship
         return
     substrate_cache.restore(state)
+
+
+def _call_with_config(config: ExecutionConfig, fn: Callable[..., Any],
+                      *args: Any) -> Any:
+    """Thread-mode dispatch: a thread shares the parent's process state,
+    so the pool's config is applied around each call instead."""
+    with _config.use_config(**asdict(config)):
+        return fn(*args)
 
 
 def _probe(task):
@@ -203,34 +193,6 @@ class PoolUnavailable(RuntimeError):
     serially, the serve supervisor drops to a thread pool."""
 
 
-class _EngineCall:
-    """Wrap a call so thread-mode pools apply the pool's engine.
-
-    Process workers get their engine through the pool initializer; a
-    thread shares the parent's process state, so the resolved engine is
-    applied around each call instead.  A class (not a closure) to stay
-    picklable by accident of use, and cheap to construct per submit.
-    """
-
-    __slots__ = ("engine", "fn", "shards")
-
-    def __init__(self, engine: str, fn: Callable[..., Any],
-                 shards: Optional[int] = None):
-        self.engine = engine
-        self.fn = fn
-        self.shards = shards
-
-    def __call__(self, *args: Any) -> Any:
-        from .scheduler import use_engine
-        from .sharded import use_shards
-
-        with use_engine(self.engine):
-            if self.shards is not None:
-                with use_shards(self.shards):
-                    return self.fn(*args)
-            return self.fn(*args)
-
-
 class WorkerPool:
     """A worker pool whose lifetime *outlives a single sweep*.
 
@@ -239,10 +201,11 @@ class WorkerPool:
     and tore everything down -- so every sweep (and every would-be
     server request) repaid worker spawn, cache transfer, and topology
     publication.  ``WorkerPool`` splits "process lifecycle" from "one
-    run": it owns the executor, the engine/array-backend decision (frozen
-    at construction), the substrate-cache snapshot shipped to workers,
-    and the shared-memory topologies it published (refcounted via
-    :func:`repro.sim.shm.publish` and released on :meth:`close`).  One
+    run": it owns the executor, the execution config (resolved once at
+    construction, :attr:`config`), the substrate-cache snapshot shipped
+    to workers, and the shared-memory topologies it published
+    (refcounted via :func:`repro.sim.shm.publish` and released on
+    :meth:`close`).  One
     pool can serve many :func:`parallel_sweep` calls (pass ``pool=``) or
     a long-running daemon's request stream (:mod:`repro.serve`).
 
@@ -262,20 +225,14 @@ class WorkerPool:
                  topologies: Optional[Mapping[Hashable, Any]] = None,
                  mode: str = "process",
                  shards: Optional[int] = None):
-        from .scheduler import _validate_engine, default_engine
-        from .sharded import default_shards
-
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown pool mode: {mode!r}")
-        self.engine = (_validate_engine(engine) if engine is not None
-                       else default_engine())
-        # Resolved once in the parent, like the engine: a worker running
-        # engine="sharded" executes its shards serially in-process, so
-        # the count only shapes partitioning, never nested pools.
-        self.shards = int(shards) if shards is not None else default_shards()
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
-        self.workers = resolve_workers(max_workers)
+        #: Every setting the pool's work runs under, fixed here: a later
+        #: environment change or override reaches no worker.  A worker
+        #: running engine="sharded" executes its shards serially
+        #: in-process, so ``shards`` only shapes partitioning.
+        self.config = _config.current(engine=engine, shards=shards,
+                                      workers=max_workers)
         self.mode = mode
         self.fallback_reason: Optional[str] = None
         self.warmup_s: Optional[float] = None
@@ -293,20 +250,22 @@ class WorkerPool:
         if self.mode == "process":
             from concurrent.futures import ProcessPoolExecutor
 
-            from . import shm
-            from .arrays import arrays_enabled
+            from . import arrays, shm
 
+            if self.config.arrays:
+                # Import NumPy before the workers fork, so they inherit
+                # it instead of each paying the import per pool.
+                arrays._import_numpy()
             return ProcessPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.config.workers,
                 initializer=_init_worker,
-                initargs=(_substrate_snapshot(), self.engine,
-                          arrays_enabled(), shm.export_handles() or None,
-                          self.shards),
+                initargs=(_substrate_snapshot(), self.config,
+                          shm.export_handles() or None),
             )
         from concurrent.futures import ThreadPoolExecutor
 
         # One thread: the work is CPU-bound pure Python (no GIL win from
-        # more), and a single lane keeps engine overrides and kernel
+        # more), and a single lane keeps config overrides and kernel
         # counters serialized.
         return ThreadPoolExecutor(max_workers=1)
 
@@ -336,8 +295,8 @@ class WorkerPool:
         """
         start = time.perf_counter()
         try:
-            assert self.map(_probe, list(range(self.workers))) == \
-                list(range(self.workers))
+            assert self.map(_probe, list(range(self.config.workers))) == \
+                list(range(self.config.workers))
         except PoolUnavailable as error:
             if self.mode != "process":
                 raise
@@ -431,13 +390,16 @@ class WorkerPool:
     def _count_done(self, _future: Any = None) -> None:
         self._count_complete(1)
 
+    def _wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        if self.mode == "process":
+            return fn
+        return partial(_call_with_config, self.config, fn)
+
     def submit(self, fn: Callable[..., Any], *args: Any):
         """Dispatch one call; returns a ``concurrent.futures.Future``."""
         executor = self.executor
-        call = (fn if self.mode == "process"
-                else _EngineCall(self.engine, fn, self.shards))
         try:
-            future = executor.submit(call, *args)
+            future = executor.submit(self._wrap(fn), *args)
         except (OSError, PermissionError, RuntimeError) as error:
             raise PoolUnavailable(str(error)) from error
         self._count_submit()
@@ -447,11 +409,9 @@ class WorkerPool:
     def map(self, fn: Callable[[Any], Any], tasks: List[Any]) -> List[Any]:
         """Ordered results of ``fn`` over ``tasks`` (one sweep's runs)."""
         executor = self.executor
-        call = (fn if self.mode == "process"
-                else _EngineCall(self.engine, fn, self.shards))
         self._count_submit(len(tasks))
         try:
-            return list(executor.map(call, tasks))
+            return list(executor.map(self._wrap(fn), tasks))
         except (ImportError, OSError, PermissionError) as error:
             raise PoolUnavailable(str(error)) from error
         finally:
@@ -463,9 +423,9 @@ class WorkerPool:
             submitted, completed = self.submitted, self.completed
         return {
             "mode": self.mode,
-            "workers": self.workers if self.mode == "process" else 1,
-            "engine": self.engine,
-            "shards": self.shards,
+            "workers": self.config.workers if self.mode == "process" else 1,
+            "engine": self.config.engine,
+            "shards": self.config.shards,
             "submitted": submitted,
             "completed": completed,
             "in_flight": submitted - completed,
@@ -619,11 +579,11 @@ def parallel_sweep(measure: Measure,
     each record is the parameter dict updated with the measured record
     (plus ``wall_s`` when ``timing``), in the order of ``params_list``.
 
-    ``engine`` pins the scheduler engine for every trial (validated in
-    the parent, applied in each worker -- and via ``use_engine`` on the
-    serial path); ``None`` means the parent's current default, resolved
-    once at call time.  With ``report=True`` the returned list is a
-    :class:`SweepReport` carrying per-worker kernel hit/fallback/warmup
+    ``engine`` and ``shards`` pin those execution-config fields for
+    every trial (validated in the parent; ``None`` means the parent's
+    current config, resolved once at call time, see
+    :mod:`repro.sim.config`).  With ``report=True`` the returned list is
+    a :class:`SweepReport` carrying per-worker kernel hit/fallback/warmup
     stats.
 
     When a :class:`~repro.obs.tracer.Tracer` is installed in the parent
@@ -643,46 +603,33 @@ def parallel_sweep(measure: Measure,
     Publishing is best-effort -- where shared memory is unusable,
     workers simply rebuild.
 
-    ``shards`` pins the sharded engine's shard count for every trial,
-    resolved in the parent exactly like ``engine`` (``None`` means the
-    parent's current :func:`repro.sim.sharded.default_shards`).  Inside
-    pool workers the sharded engine always executes its shards serially
-    in-process, so the count shapes partitioning, never nested pools.
+    Inside pool workers the sharded engine always executes its shards
+    serially in-process, so ``shards`` shapes partitioning, never nested
+    pools.
 
     ``pool`` reuses a live :class:`WorkerPool` instead of paying pool
-    creation and cache shipping per sweep: the pool's frozen engine
-    wins (passing a *different* explicit ``engine`` is an error), its
-    workers stay warm across calls, and it is **not** closed here --
-    the caller owns the process lifecycle.  Topologies passed alongside
-    an external pool are published under the pool's refcount and
-    released when the pool closes.
+    creation and cache shipping per sweep: the pool's frozen config
+    wins (passing a *different* explicit ``engine`` or ``shards`` is an
+    error), its workers stay warm across calls, and it is **not** closed
+    here -- the caller owns the process lifecycle.  Topologies passed
+    alongside an external pool are published under the pool's refcount
+    and released when the pool closes.
     """
     from ..obs.tracer import current_tracer
-    from .scheduler import _validate_engine, default_engine, use_engine
-    from .sharded import default_shards, use_shards
 
     if pool is not None:
-        resolved = pool.engine
-        if engine is not None and _validate_engine(engine) != resolved:
-            raise ValueError(
-                f"engine {engine!r} conflicts with the pool's frozen "
-                f"engine {resolved!r}"
-            )
-        resolved_shards = pool.shards
-        if shards is not None and int(shards) != resolved_shards:
-            raise ValueError(
-                f"shards {shards!r} conflicts with the pool's frozen "
-                f"shard count {resolved_shards!r}"
-            )
+        config = pool.config
+        for name, value in (("engine", engine), ("shards", shards)):
+            if (value is not None
+                    and _config.setting(name, value) != getattr(config, name)):
+                raise ValueError(
+                    f"{name} {value!r} conflicts with the pool's frozen "
+                    f"{name} {getattr(config, name)!r}"
+                )
         if topologies:
             pool.add_topologies(topologies)
     else:
-        resolved = (_validate_engine(engine) if engine is not None
-                    else default_engine())
-        resolved_shards = (int(shards) if shards is not None
-                           else default_shards())
-        if resolved_shards < 1:
-            raise ValueError("shards must be positive")
+        config = _config.current(engine=engine, shards=shards)
         if topologies:
             # Sweep-owned publications deliberately skip the refcounted
             # release: they stay warm for follow-up sweeps and are
@@ -708,11 +655,11 @@ def parallel_sweep(measure: Measure,
         # (schedules, polynomial families, prime tables, interned
         # networks with their compiled CSR topologies) computed in this
         # process are shipped to every worker once, instead of each
-        # worker re-deriving them per trial; the resolved engine choice
-        # rides along.
+        # worker re-deriving them per trial; the resolved config rides
+        # along.
         dispatch = own_pool = WorkerPool(max_workers=workers,
-                                         engine=resolved,
-                                         shards=resolved_shards)
+                                         engine=config.engine,
+                                         shards=config.shards)
     try:
         if dispatch is not None:
             try:
@@ -724,23 +671,23 @@ def parallel_sweep(measure: Measure,
             else:
                 if tracer is not None:
                     with tracer.span("algorithm", "parallel-sweep",
-                                     trials=len(tasks), engine=resolved):
+                                     trials=len(tasks), engine=config.engine):
                         trace_events = _pop_worker_traces(records, tracer)
         if records is None:
             # The serial fallback runs in-process, where the parent's
             # tracer is already ambient: trials trace straight into it,
             # no merge.
             serial_tasks = [(m, p, t, False) for (m, p, t, _) in tasks]
-            with use_engine(resolved), use_shards(resolved_shards):
+            with _config.use_config(**asdict(config)):
                 records = [_call_measure(task) for task in serial_tasks]
     finally:
         if own_pool is not None:
             own_pool.close()
-    worker_stats = _pop_worker_metrics(records, resolved)
+    worker_stats = _pop_worker_metrics(records, config.engine)
     if not report:
         return records
     return SweepReport(
-        records, resolved, worker_stats, time.perf_counter() - start,
+        records, config.engine, worker_stats, time.perf_counter() - start,
         trace_events,
     )
 

@@ -62,9 +62,10 @@ Three execution engines implement the same semantics:
     ``benchmarks/bench_engine.py`` tracks the fast and vectorized paths'
     speedups over it.
 
-Select an engine per call (``scheduler.run(engine="reference")``), per
-process (the ``REPRO_SIM_ENGINE`` environment variable), or temporarily
-for a whole protocol stack (:func:`use_engine`).
+Select an engine per call (``scheduler.run(engine="reference")``), or
+through the ``engine`` field of the execution config
+(:mod:`repro.sim.config`: ``REPRO_SIM_ENGINE``, ``set_config``), or
+temporarily for a whole protocol stack (:func:`use_engine`).
 
 All three engines share one telemetry hook: when a
 :class:`~repro.obs.tracer.Tracer` is installed
@@ -78,14 +79,13 @@ traced vectorized run keeps its kernels; contrast the per-round
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
-from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracer import current_tracer
+from . import config as _config
+from .config import ENGINES  # noqa: F401 -- re-exported
 from .congest import BandwidthModel, LocalModel
 from .errors import NetworkError, RoundLimitExceeded, SchedulerError
 from .message import Broadcast, Message
@@ -98,67 +98,16 @@ Node = Hashable
 #: Safety net so buggy protocols fail loudly instead of spinning forever.
 DEFAULT_MAX_ROUNDS = 1_000_000
 
-#: The engines understood by :meth:`Scheduler.run`.
-ENGINES = ("fast", "reference", "vectorized", "sharded")
-
-#: Environment variable naming the process-default engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
-#: A programmatic engine selection (``set_default_engine`` /
-#: :func:`use_engine`); ``None`` means "defer to the environment".  Kept
-#: separate from the environment read so that ``REPRO_SIM_ENGINE`` is
-#: honored *dynamically* -- setting it after import (or after a process
-#: pool's parent imported this module) still takes effect, which the
-#: parallel trial runner relies on to resolve the engine once in the
-#: parent and ship it to every worker.
-_engine_override: Optional[str] = None
-
-
-def _validate_engine(name: str) -> str:
-    if name not in ENGINES:
-        raise SchedulerError(
-            f"unknown scheduler engine {name!r}; expected one of {ENGINES}"
-        )
-    return name
-
-
 def default_engine() -> str:
-    """The engine used when :meth:`Scheduler.run` gets ``engine=None``.
-
-    A programmatic selection wins; otherwise the *current* value of
-    ``REPRO_SIM_ENGINE`` (re-read on every call, so late environment
-    changes are honored), falling back to ``"fast"``.
-    """
-    if _engine_override is not None:
-        return _engine_override
-    return os.environ.get(ENGINE_ENV, "fast")
+    """The engine used when :meth:`Scheduler.run` gets ``engine=None``
+    (the ``engine`` field of :mod:`repro.sim.config`)."""
+    return _config.setting("engine")
 
 
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous one."""
-    global _engine_override
-    previous = default_engine()
-    _engine_override = _validate_engine(name)
-    return previous
-
-
-@contextmanager
-def use_engine(name: str) -> Iterator[None]:
-    """Temporarily force every scheduler run to use ``name``.
-
-    Lets benchmarks and equivalence tests push a whole protocol stack --
-    including nested :func:`run_protocol` calls deep inside compositions
-    -- onto one engine without threading a parameter everywhere.  On exit
-    the previous override state is restored exactly (including the
-    "no override, defer to the environment" state).
-    """
-    global _engine_override
-    saved = _engine_override
-    set_default_engine(name)
-    try:
-        yield
-    finally:
-        _engine_override = saved
+def use_engine(name: str):
+    """Temporarily force every scheduler run -- nested ``run_protocol``
+    calls deep inside compositions included -- to use ``name``."""
+    return _config.use_config(engine=name)
 
 
 class Scheduler:
@@ -203,13 +152,11 @@ class Scheduler:
 
         ``engine`` selects the execution path (``"fast"``,
         ``"reference"``, or ``"vectorized"``); ``None`` uses the process
-        default (normally ``"fast"``, overridable via
-        ``REPRO_SIM_ENGINE`` or :func:`use_engine`).  All engines
+        default (:func:`default_engine`, normally ``"fast"``).  All engines
         implement identical semantics; ``"vectorized"`` falls back to
         ``"fast"`` for populations it cannot batch.
         """
-        name = _validate_engine(engine if engine is not None
-                                else default_engine())
+        name = _config.setting("engine", engine)
         tracer = current_tracer()
         # Per-run registry metrics from the ledger delta: recorded for
         # every run, traced or not.  Write-only observation -- nothing

@@ -39,31 +39,24 @@ import atexit
 import os
 import pickle
 import time
-from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..graphs.partition import Partition, partition_by_edges
 from ..obs import metrics as obs_metrics
 from . import arrays, shm
+from . import config as _config
 from .congest import LocalModel
 from .errors import AlgorithmFailure, RoundLimitExceeded
 from .message import intern_broadcast
 
 __all__ = [
     "MIN_SHARD_NODES",
-    "SHARDS_ENV",
     "ShardSpec",
     "default_shards",
     "register_sharded",
-    "set_default_shards",
     "shard_stats",
     "sharded_for",
-    "use_shards",
 ]
-
-#: Environment variable naming the process-default shard count.
-SHARDS_ENV = "REPRO_SIM_SHARDS"
 
 #: Below this node count, eligible runs keep the shard execution model
 #: but skip the process pool: per-round task dispatch would dominate the
@@ -72,51 +65,17 @@ MIN_SHARD_NODES = 65_536
 
 _ITEMSIZE = 8  # native int64 cells throughout the state segment
 
-#: Programmatic shard-count selection; ``None`` defers to the
-#: environment (read dynamically, like the engine override).
-_shards_override: Optional[int] = None
-
 #: True inside a pool worker (set by the pool initializer): nested runs
 #: execute their shards serially instead of spawning nested pools.
 _in_worker = False
 
 
 def default_shards() -> int:
-    """The shard count used by ``engine="sharded"``.
-
-    A programmatic selection wins; otherwise the current value of
-    ``REPRO_SIM_SHARDS`` (re-read on every call), falling back to 1 --
-    which makes the sharded engine a transparent alias for the
-    vectorized one until somebody actually asks for shards.
-    """
-    if _shards_override is not None:
-        return _shards_override
-    try:
-        return max(1, int(os.environ.get(SHARDS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def set_default_shards(shards: int) -> int:
-    """Set the process-wide shard count; returns the previous value."""
-    global _shards_override
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    previous = default_shards()
-    _shards_override = int(shards)
-    return previous
-
-
-@contextmanager
-def use_shards(shards: int) -> Iterator[None]:
-    """Temporarily pin the shard count (mirrors ``use_engine``)."""
-    global _shards_override
-    saved = _shards_override
-    set_default_shards(shards)
-    try:
-        yield
-    finally:
-        _shards_override = saved
+    """The shard count used by ``engine="sharded"`` (the ``shards``
+    field of :mod:`repro.sim.config`, default 1 -- which makes the
+    sharded engine a transparent alias for the vectorized one until
+    somebody actually asks for shards)."""
+    return _config.setting("shards")
 
 
 def _mark_worker() -> None:

@@ -18,7 +18,6 @@ from .exhaustive import (
 from .cache import (
     cache_enabled,
     clear_substrate_cache,
-    set_cache_enabled,
 )
 from .cover_free import (
     PolynomialFamily,
@@ -86,7 +85,6 @@ __all__ = [
     "randomized_delta_plus_one",
     "randomized_list_coloring",
     "run_recoloring",
-    "set_cache_enabled",
     "shared_family",
     "TrialColoringProgram",
     "sequential_greedy_arbdefective",

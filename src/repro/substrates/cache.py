@@ -19,9 +19,10 @@ Two consumers build on the registries:
   process boundary instead of being rebuilt per worker.
 
 Like the payload memo tables in :mod:`repro.sim.message`, everything here
-is disabled by ``REPRO_SIM_CACHE=0`` (one knob for every process-level
-memo in the repository).  Caching never changes results -- only how often
-the pure derivations run.
+is disabled by the execution config's ``cache`` field
+(``REPRO_SIM_CACHE=0``; one knob for every process-level memo in the
+repository, see :mod:`repro.sim.config`).  Caching never changes
+results -- only how often the pure derivations run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import tempfile
 from typing import Any, Dict, Mapping, Optional
 
 from ..obs import metrics as obs_metrics
-from ..sim.message import CACHE_ENV
+from ..sim import config as _config
 
 #: Safety valve mirroring the payload memo tables: a registry that hits
 #: this size is cleared rather than growing without bound.
@@ -46,16 +47,11 @@ REGISTRY_LIMIT = 1 << 16
 #: bounds both resident memory and the worker-initializer payload.
 ARRAY_REGISTRY_LIMIT = 64
 
-#: Directory for the persistent spill file; unset means "no disk cache".
-CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"
-
 #: Bumped whenever the registry key/value conventions change shape; a
 #: file with a different version is ignored (cold start), never migrated.
 CACHE_FILE_VERSION = 1
 
 _CACHE_FILE_NAME = "substrate_cache.pkl"
-
-_enabled = os.environ.get(CACHE_ENV, "1") != "0"
 
 #: ``registry name -> {key -> derived object}``.  Registries are created
 #: on first use so this module stays agnostic of what is cached.
@@ -69,17 +65,7 @@ _disk_state: Dict[str, Any] = {"path": None, "loaded": False, "saved": False}
 
 def cache_enabled() -> bool:
     """Whether the substrate registries are active."""
-    return _enabled
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Toggle the registries (tests only); returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    if not enabled:
-        clear_substrate_cache()
-    return previous
+    return _config.caching
 
 
 def registry(name: str, limit: int = REGISTRY_LIMIT) -> Dict[Any, Any]:
@@ -87,7 +73,7 @@ def registry(name: str, limit: int = REGISTRY_LIMIT) -> Dict[Any, Any]:
 
     Callers own the key/value convention of their registry; this module
     only provides the shared lifecycle (clear / snapshot / restore) and
-    the ``REPRO_SIM_CACHE`` switch.  Callers should check
+    the ``cache`` switch.  Callers should check
     :func:`cache_enabled` before reading or writing.  ``limit`` caps the
     table size before it is cleared rather than growing without bound --
     registries holding heavy values (e.g. the interned networks with
@@ -149,6 +135,9 @@ def clear_substrate_cache() -> None:
         table.clear()
 
 
+_config.on_cache_disabled(clear_substrate_cache)
+
+
 def registry_sizes() -> Dict[str, int]:
     """``{registry name: entry count}`` for every non-empty registry.
 
@@ -179,7 +168,7 @@ def restore(state: Dict[str, Dict[Any, Any]]) -> None:
     a ``None`` or empty state is a no-op, and restoring while caching is
     disabled is also a no-op.
     """
-    if not state or not _enabled:
+    if not state or not _config.caching:
         return
     for name, table in state.items():
         registry(name).update(table)
@@ -190,11 +179,12 @@ def restore(state: Dict[str, Dict[Any, Any]]) -> None:
 # ----------------------------------------------------------------------
 def cache_file_path(path: Optional[str] = None) -> Optional[str]:
     """The spill file location: explicit ``path``, else
-    ``$REPRO_SIM_CACHE_DIR/substrate_cache.pkl``, else ``None`` (off).
+    ``<cache_dir>/substrate_cache.pkl`` for the execution config's
+    ``cache_dir`` (``REPRO_SIM_CACHE_DIR``), else ``None`` (off).
     """
     if path is not None:
         return path
-    directory = os.environ.get(CACHE_DIR_ENV)
+    directory = _config.setting("cache_dir")
     if not directory:
         return None
     return os.path.join(directory, _CACHE_FILE_NAME)
@@ -215,7 +205,7 @@ def save_to_disk(path: Optional[str] = None) -> Optional[str]:
     never a torn one.
     """
     destination = cache_file_path(path)
-    if destination is None or not _enabled:
+    if destination is None or not _config.caching:
         return None
     state = snapshot()
     if not state:
@@ -252,7 +242,7 @@ def load_from_disk(path: Optional[str] = None) -> bool:
     (union, file entries win); disabled caching is a no-op.
     """
     source = cache_file_path(path)
-    if source is None or not _enabled:
+    if source is None or not _config.caching:
         return False
     _disk_state.update(path=source, loaded=False)
     try:

@@ -164,6 +164,9 @@ class TestSummary:
         assert "two-sweep" in text
         assert "kernel hits" in text
         assert "scheduler run(s)" in text
+        config_line, = [line for line in text.splitlines()
+                        if line.startswith("config: ")]
+        assert f"engine={manifest['config']['engine']}" in config_line.split()
 
     def test_summarize_empty_trace(self):
         text = summarize_trace(None, [])

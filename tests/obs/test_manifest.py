@@ -25,10 +25,14 @@ class TestCollectManifest:
 
     def test_env_capture(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "3")
         monkeypatch.setenv("UNRELATED_VAR", "nope")
-        env = collect_manifest()["env"]
-        assert env["REPRO_SIM_ENGINE"] == "vectorized"
-        assert "UNRELATED_VAR" not in env
+        manifest = collect_manifest()
+        assert manifest["config"]["engine"] == "vectorized"
+        assert manifest["config"]["shards"] == 3
+        assert manifest["engine"] == "vectorized"
+        assert "env" not in manifest
+        assert "UNRELATED_VAR" not in json.dumps(manifest)
 
     def test_seeds_and_argv_recorded_verbatim(self):
         manifest = collect_manifest(

@@ -36,7 +36,7 @@ class TestWorkerPool:
     def test_engine_frozen_at_construction(self):
         with WorkerPool(max_workers=1, engine="reference",
                         mode="thread") as pool:
-            assert pool.engine == "reference"
+            assert pool.config.engine == "reference"
             assert pool.stats()["engine"] == "reference"
 
     def test_occupancy_counters(self):

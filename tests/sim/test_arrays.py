@@ -19,7 +19,7 @@ import pytest
 from repro.graphs import binary_tree, gnp_graph, orient_by_id, sequential_ids
 from repro.coloring import random_oldc_instance
 from repro.core import two_sweep
-from repro.sim import CostLedger, use_engine
+from repro.sim import CostLedger, use_config, use_engine
 from repro.sim import arrays
 from repro.sim.errors import AlgorithmFailure
 from repro.obs.metrics import reset_metrics
@@ -35,9 +35,8 @@ def force_arrays(monkeypatch):
     """Pin the NumPy backend on and drop the size thresholds."""
     monkeypatch.setattr(arrays, "MIN_BATCH", 0)
     monkeypatch.setattr(arrays, "MIN_TALLY", 0)
-    previous = arrays.set_arrays_override(True)
-    yield
-    arrays.set_arrays_override(previous)
+    with use_config(arrays=True):
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -45,31 +44,28 @@ def force_arrays(monkeypatch):
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(arrays.ARRAYS_ENV, "0")
+        monkeypatch.setenv("REPRO_SIM_ARRAYS", "0")
         assert arrays.get_numpy() is None
         assert not arrays.arrays_enabled()
         assert arrays.backend_name() == "python"
         assert arrays.numpy_version() is None
 
     def test_env_default_enables(self, monkeypatch):
-        monkeypatch.delenv(arrays.ARRAYS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_ARRAYS", raising=False)
         assert arrays.get_numpy() is numpy
         assert arrays.backend_name() == "numpy"
         assert arrays.numpy_version() == numpy.__version__
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.delenv(arrays.ARRAYS_ENV, raising=False)
-        previous = arrays.set_arrays_override(False)
-        try:
+        monkeypatch.delenv("REPRO_SIM_ARRAYS", raising=False)
+        with use_config(arrays=False):
             assert arrays.get_numpy() is None
             # ...and the override wins over an enabling env too.
-            monkeypatch.setenv(arrays.ARRAYS_ENV, "1")
+            monkeypatch.setenv("REPRO_SIM_ARRAYS", "1")
             assert not arrays.arrays_enabled()
-            arrays.set_arrays_override(True)
-            monkeypatch.setenv(arrays.ARRAYS_ENV, "0")
-            assert arrays.arrays_enabled()
-        finally:
-            arrays.set_arrays_override(previous)
+            with use_config(arrays=True):
+                monkeypatch.setenv("REPRO_SIM_ARRAYS", "0")
+                assert arrays.arrays_enabled()
 
     def test_missing_numpy_falls_back(self, monkeypatch):
         """Simulated absent NumPy: selection degrades, nothing raises."""
@@ -89,15 +85,20 @@ class TestSelection:
         finally:
             arrays._reset_import_cache()
 
-    def test_worker_init_applies_override(self):
+    def test_worker_init_applies_override(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.sim import sharded
+        from repro.sim.config import current
         from repro.sim.parallel import _init_worker
 
+        # The initializer marks its process as a pool worker; undo that,
+        # or later tests never take the sharded engine's process lanes.
+        monkeypatch.setattr(sharded, "_in_worker", False)
         before = arrays.arrays_enabled()
-        _init_worker(None, None, False)
-        try:
+        with use_config():
+            _init_worker(None, replace(current(), arrays=False))
             assert not arrays.arrays_enabled()
-        finally:
-            arrays.set_arrays_override(None)
         assert arrays.arrays_enabled() == before
 
 
@@ -207,9 +208,9 @@ def test_backend_stats_and_equivalence(force_arrays):
     assert stats["by_backend"].get("AlgebraicRecoloringKernel[numpy]")
     assert stats["by_kernel"].get("AlgebraicRecoloringKernel")
 
-    arrays.set_arrays_override(False)
     reset_metrics()
-    without = _run_linial(network)
+    with use_config(arrays=False):
+        without = _run_linial(network)
     stats = kernel_stats()
     assert stats["by_backend"].get("AlgebraicRecoloringKernel[python]")
     assert "AlgebraicRecoloringKernel[numpy]" not in stats["by_backend"]
@@ -231,8 +232,7 @@ def test_failure_messages_identical_across_backends(force_arrays):
     }
     errors = {}
     for enabled in (True, False):
-        arrays.set_arrays_override(enabled)
-        with use_engine("vectorized"):
+        with use_config(engine="vectorized", arrays=enabled):
             with pytest.raises(AlgorithmFailure) as info:
                 two_sweep(
                     instance, sequential_ids(network), len(network), 2,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import gnp_graph, sequential_ids
-from repro.sim import CostLedger, use_engine
+from repro.sim import CostLedger, use_config, use_engine
 from repro.sim import arrays
 from repro.obs.metrics import reset_metrics
 from repro.sim.kernels import kernel_stats
@@ -28,9 +28,9 @@ class TestChunkKnob:
     ])
     def test_chunk_size_parsing(self, monkeypatch, value, expected):
         if value is None:
-            monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
+            monkeypatch.delenv("REPRO_SIM_CHUNK", raising=False)
         else:
-            monkeypatch.setenv(arrays.CHUNK_ENV, value)
+            monkeypatch.setenv("REPRO_SIM_CHUNK", value)
         assert arrays.chunk_size() == expected
 
     def test_iter_chunks_covers_range(self):
@@ -69,10 +69,10 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
     def test_chunked_equals_unchunked(self, monkeypatch, network, engine):
-        monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_CHUNK", raising=False)
         baseline = _run_linial(network, engine)
         for chunk in ("1", "7", "32", "1000000"):
-            monkeypatch.setenv(arrays.CHUNK_ENV, chunk)
+            monkeypatch.setenv("REPRO_SIM_CHUNK", chunk)
             assert _run_linial(network, engine) == baseline, \
                 f"{engine} diverged at chunk={chunk}"
 
@@ -82,20 +82,16 @@ class TestBitIdentity:
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
         monkeypatch.setattr(arrays, "MIN_TALLY", 0)
         results = []
-        previous = arrays.set_arrays_override(None)
-        try:
-            for enabled in (True, False):
-                arrays.set_arrays_override(enabled)
-                monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
+        for enabled in (True, False):
+            with use_config(arrays=enabled):
+                monkeypatch.delenv("REPRO_SIM_CHUNK", raising=False)
                 results.append(_run_linial(network, "vectorized"))
-                monkeypatch.setenv(arrays.CHUNK_ENV, "13")
+                monkeypatch.setenv("REPRO_SIM_CHUNK", "13")
                 results.append(_run_linial(network, "vectorized"))
-        finally:
-            arrays.set_arrays_override(previous)
         assert all(entry == results[0] for entry in results[1:])
 
     def test_engines_agree_under_chunking(self, monkeypatch, network):
-        monkeypatch.setenv(arrays.CHUNK_ENV, "11")
+        monkeypatch.setenv("REPRO_SIM_CHUNK", "11")
         runs = {engine: _run_linial(network, engine)
                 for engine in ("reference", "fast", "vectorized")}
         assert runs["reference"] == runs["fast"] == runs["vectorized"]
@@ -112,9 +108,8 @@ class TestPerChunkGating:
         pytest.importorskip("numpy")
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
         monkeypatch.setattr(arrays, "MIN_TALLY", 0)
-        previous = arrays.set_arrays_override(True)
-        yield
-        arrays.set_arrays_override(previous)
+        with use_config(arrays=True):
+            yield
 
     def test_chunking_rescues_the_array_path(self, monkeypatch,
                                              force_arrays):
@@ -147,7 +142,7 @@ class TestPerChunkGating:
                 )
             return sorted(colors.items()), palette, ledger.rounds
 
-        monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_CHUNK", raising=False)
         reset_metrics()
         unchunked = run()
         stats = kernel_stats()
@@ -155,7 +150,7 @@ class TestPerChunkGating:
         assert not stats["by_backend"].get(
             "AlgebraicRecoloringKernel[numpy]")
 
-        monkeypatch.setenv(arrays.CHUNK_ENV, "1")
+        monkeypatch.setenv("REPRO_SIM_CHUNK", "1")
         reset_metrics()
         chunked = run()
         stats = kernel_stats()

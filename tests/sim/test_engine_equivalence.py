@@ -49,9 +49,9 @@ from repro.sim import (
     SchedulerError,
     default_engine,
     run_protocol,
-    set_default_engine,
+    set_config,
+    use_config,
     use_engine,
-    use_shards,
 )
 from repro.substrates import (
     greedy_arbdefective_sweep,
@@ -83,11 +83,8 @@ def backend(request, monkeypatch):
             pytest.skip("NumPy not installed")
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
         monkeypatch.setattr(arrays, "MIN_TALLY", 0)
-        previous = arrays.set_arrays_override(True)
-    else:
-        previous = arrays.set_arrays_override(False)
-    yield request.param
-    arrays.set_arrays_override(previous)
+    with use_config(arrays=request.param == "numpy"):
+        yield request.param
 
 
 def _ledger_state(ledger: CostLedger):
@@ -223,7 +220,7 @@ def test_sharded_engine_agrees(topology, shards, backend):
     with use_engine("reference"), use_tracer(ref_tracer):
         ref_out, ref_ledger = run_color_reduction(build(seed=5))
     tracer = Tracer()
-    with use_engine("sharded"), use_shards(shards), use_tracer(tracer):
+    with use_config(engine="sharded", shards=shards), use_tracer(tracer):
         out, ledger = run_color_reduction(build(seed=5))
     assert out == ref_out, shards
     assert _ledger_state(ledger) == _ledger_state(ref_ledger), shards
@@ -238,7 +235,7 @@ def test_sharded_congest_agrees(shards, backend):
     outputs = {}
     for engine, count in (("reference", 1), ("sharded", shards)):
         network = gnp_graph(50, 0.12, seed=13)
-        with use_engine(engine), use_shards(count):
+        with use_config(engine=engine, shards=count):
             out, ledger = _with_congest(run_color_reduction, network)
         outputs[engine] = out
         states[engine] = _ledger_state(ledger)
@@ -500,7 +497,7 @@ def test_unknown_engine_rejected():
     with pytest.raises(SchedulerError):
         scheduler.run(engine="warp")
     with pytest.raises(SchedulerError):
-        set_default_engine("warp")
+        set_config(engine="warp")
 
 
 def test_use_engine_restores_default():

@@ -36,7 +36,7 @@ from repro.sim import (
 )
 from repro.obs.metrics import reset_metrics
 from repro.sim.kernels import fanout_totals
-from repro.sim.message import set_payload_memo_enabled
+from repro.sim.config import use_config
 
 
 # ----------------------------------------------------------------------
@@ -303,14 +303,11 @@ def test_intern_broadcast_unhashable_payload_degrades():
 
 def test_intern_broadcast_honors_cache_switch():
     clear_payload_memo()
-    previous = set_payload_memo_enabled(False)
-    try:
+    with use_config(cache=False):
         first = intern_broadcast(2, "t", 9, 8)
         second = intern_broadcast(2, "t", 9, 8)
         assert first is not second
-    finally:
-        set_payload_memo_enabled(previous)
-        clear_payload_memo()
+    clear_payload_memo()
 
 
 # ----------------------------------------------------------------------

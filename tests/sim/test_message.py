@@ -13,7 +13,7 @@ from repro.sim import (
     intern_payload,
     payload_bits,
 )
-from repro.sim.message import set_payload_memo_enabled
+from repro.sim.config import use_config
 
 
 class TestIntBits:
@@ -123,11 +123,8 @@ class TestPayloadMemo:
         clear_payload_memo()
         memoized = [payload_bits(p) for p in payloads]
         memoized_again = [payload_bits(p) for p in payloads]
-        previous = set_payload_memo_enabled(False)
-        try:
+        with use_config(cache=False):
             raw = [payload_bits(p) for p in payloads]
-        finally:
-            set_payload_memo_enabled(previous)
         assert memoized == raw == memoized_again
 
     def test_unhashable_payloads_skip_the_memo(self):

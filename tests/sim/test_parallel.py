@@ -33,6 +33,17 @@ def measure_engine_result(seed: int) -> str:
     return default_engine()
 
 
+def probe_config(_task):
+    """The config a pool's work actually runs under, plus the kernel
+    knob views (module-level so it pickles into worker processes)."""
+    from repro.sim import arrays
+    from repro.sim.config import current
+    from repro.sim.sharded import default_shards
+
+    return (current(), default_engine(), default_shards(),
+            arrays.arrays_enabled(), arrays.chunk_size())
+
+
 def measure_two_sweep(n: int) -> dict:
     """A real protocol trial: Two-Sweep on a small random graph."""
     from repro.coloring import random_oldc_instance
@@ -140,6 +151,29 @@ class TestEngineResolution:
             measure_two_sweep, params, max_workers=2, engine="vectorized"
         )
         assert records == baseline
+
+
+class TestPoolConfig:
+    def test_process_and_thread_pools_apply_one_config(self, monkeypatch):
+        # Both modes fix every setting at construction: a later
+        # environment change reaches neither, so they cannot disagree.
+        before = {"REPRO_SIM_ENGINE": "reference", "REPRO_SIM_SHARDS": "3",
+                  "REPRO_SIM_ARRAYS": "0", "REPRO_SIM_CHUNK": "7"}
+        after = {"REPRO_SIM_ENGINE": "vectorized", "REPRO_SIM_SHARDS": "2",
+                 "REPRO_SIM_ARRAYS": "1", "REPRO_SIM_CHUNK": "9"}
+        for variable, value in before.items():
+            monkeypatch.setenv(variable, value)
+        seen = {}
+        with WorkerPool(max_workers=1, mode="process") as process_pool, \
+                WorkerPool(max_workers=1, mode="thread") as thread_pool:
+            assert process_pool.config == thread_pool.config
+            for variable, value in after.items():
+                monkeypatch.setenv(variable, value)
+            for pool in (process_pool, thread_pool):
+                seen[pool.mode] = pool.map(probe_config, [0])[0]
+                assert seen[pool.mode][0] == pool.config
+        assert seen["process"][1:] == seen["thread"][1:] == \
+            ("reference", 3, False, 7)
 
 
 class TestSweepReport:

@@ -27,10 +27,10 @@ from repro.sim import (
     AlgorithmFailure,
     default_shards,
     run_protocol,
-    set_default_shards,
+    set_config,
     shard_stats,
+    use_config,
     use_engine,
-    use_shards,
 )
 from repro.sim import sharded
 from repro.substrates.greedy import (
@@ -71,33 +71,30 @@ def _reduce(compiled, bandwidth=None):
 
 class TestShardsAPI:
     def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(sharded.SHARDS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_SHARDS", raising=False)
         assert default_shards() == 1
 
     def test_env_read_dynamically(self, monkeypatch):
-        monkeypatch.setenv(sharded.SHARDS_ENV, "3")
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "3")
         assert default_shards() == 3
-        monkeypatch.setenv(sharded.SHARDS_ENV, "junk")
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "junk")
         assert default_shards() == 1
 
     def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(sharded.SHARDS_ENV, "3")
-        previous = set_default_shards(5)
-        try:
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "3")
+        with use_config(shards=5):
             assert default_shards() == 5
-        finally:
-            sharded._shards_override = None
-        assert previous == 3
+        assert default_shards() == 3
 
     def test_set_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            set_default_shards(0)
+            set_config(shards=0)
 
-    def test_use_shards_restores(self):
+    def test_use_config_shards_restores(self):
         before = default_shards()
-        with use_shards(4):
+        with use_config(shards=4):
             assert default_shards() == 4
-            with use_shards(2):
+            with use_config(shards=2):
                 assert default_shards() == 2
             assert default_shards() == 4
         assert default_shards() == before
@@ -106,7 +103,7 @@ class TestShardsAPI:
 class TestFallbackChain:
     def test_single_shard_falls_back(self):
         compiled = stream_ring(64)
-        with use_engine("sharded"), use_shards(1):
+        with use_config(engine="sharded", shards=1):
             result, ledger = _reduce(compiled)
         stats = shard_stats()
         assert stats["engaged"] == 0
@@ -122,13 +119,13 @@ class TestFallbackChain:
 
         compiled = stream_ring(32)
         programs = {node: Anon() for node in compiled.order}
-        with use_engine("sharded"), use_shards(2):
+        with use_config(engine="sharded", shards=2):
             run_protocol(compiled, programs)
         assert shard_stats()["by_reason"].get("unregistered") == 1
 
     def test_engaged_run_records_stats(self):
         compiled = stream_ring(96)
-        with use_engine("sharded"), use_shards(2):
+        with use_config(engine="sharded", shards=2):
             _reduce(compiled)
         stats = shard_stats()
         assert stats["engaged"] == 1
@@ -167,7 +164,7 @@ class TestSerialShardIdentity:
         with use_engine("vectorized"), use_tracer(ref_tracer):
             ref_result, ref_ledger = _reduce(compiled)
         tracer = Tracer()
-        with use_engine("sharded"), use_shards(shards), \
+        with use_config(engine="sharded", shards=shards), \
                 use_tracer(tracer):
             result, ledger = _reduce(compiled)
         assert result == ref_result
@@ -182,7 +179,7 @@ class TestSerialShardIdentity:
         bandwidth = CongestModel(180, factor=64)
         with use_engine("vectorized"):
             ref_result, ref_ledger = _reduce(compiled, bandwidth)
-        with use_engine("sharded"), use_shards(3):
+        with use_config(engine="sharded", shards=3):
             result, ledger = _reduce(compiled, bandwidth)
         assert result == ref_result
         assert _ledger_state(ledger) == _ledger_state(ref_ledger)
@@ -211,7 +208,7 @@ class TestFailureSemantics:
                                ("sharded", 4)):
             compiled, programs = _infeasible_programs()
             ledger = CostLedger()
-            with use_engine(engine), use_shards(shards):
+            with use_config(engine=engine, shards=shards):
                 with pytest.raises(AlgorithmFailure) as info:
                     run_protocol(compiled, programs, ledger=ledger)
             errors[(engine, shards)] = str(info.value)
@@ -235,7 +232,7 @@ class TestProcessMode:
         compiled = stream_ring(1500)
         with use_engine("vectorized"):
             ref_result, ref_ledger = _reduce(compiled)
-        with use_engine("sharded"), use_shards(shards):
+        with use_config(engine="sharded", shards=shards):
             result, ledger = _reduce(compiled)
         assert result == ref_result
         assert _ledger_state(ledger) == _ledger_state(ref_ledger)
@@ -251,7 +248,7 @@ class TestProcessMode:
 
     def test_repeat_runs_reuse_lanes(self, small_threshold):
         compiled = stream_ring(1500)
-        with use_engine("sharded"), use_shards(2):
+        with use_config(engine="sharded", shards=2):
             first, _ = _reduce(compiled)
             second, _ = _reduce(compiled)
         assert first == second
@@ -263,7 +260,7 @@ class TestProcessMode:
         bandwidth = CongestModel(1200, factor=64)
         with use_engine("vectorized"):
             ref_result, ref_ledger = _reduce(compiled, bandwidth)
-        with use_engine("sharded"), use_shards(2):
+        with use_config(engine="sharded", shards=2):
             result, ledger = _reduce(compiled, bandwidth)
         assert result == ref_result
         assert _ledger_state(ledger) == _ledger_state(ref_ledger)
@@ -277,7 +274,7 @@ class TestProcessMode:
             }
             with pytest.raises(AlgorithmFailure) as ref_info:
                 run_protocol(compiled, ref_programs)
-        with use_engine("sharded"), use_shards(2):
+        with use_config(engine="sharded", shards=2):
             with pytest.raises(AlgorithmFailure) as info:
                 run_protocol(compiled, programs)
         assert str(info.value) == str(ref_info.value)
@@ -290,7 +287,7 @@ class TestTracePhysicalFields:
 
         compiled = stream_ring(96)
         tracer = Tracer()
-        with use_engine("sharded"), use_shards(2), use_tracer(tracer):
+        with use_config(engine="sharded", shards=2), use_tracer(tracer):
             _reduce(compiled)
         shard_events = [e for e in tracer.events
                         if e.get("kind") == "kernel"

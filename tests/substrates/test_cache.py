@@ -13,12 +13,11 @@ from repro.substrates import (
     is_prime,
     next_prime,
     proper_schedule,
-    set_cache_enabled,
     shared_family,
 )
+from repro.sim.config import set_config, use_config
 from repro.substrates import cache
 from repro.substrates.cache import (
-    CACHE_DIR_ENV,
     CACHE_FILE_VERSION,
     cache_file_path,
     load_from_disk,
@@ -32,8 +31,8 @@ from repro.substrates.cache import (
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_substrate_cache()
-    yield
-    set_cache_enabled(True)
+    with use_config():
+        yield
     clear_substrate_cache()
 
 
@@ -41,7 +40,7 @@ class TestPrimeMemo:
     def test_memoized_matches_raw(self):
         values = list(range(0, 60)) + [97, 98, 121, 7919]
         warm = [is_prime(v) for v in values]
-        set_cache_enabled(False)
+        set_config(cache=False)
         raw = [is_prime(v) for v in values]
         assert warm == raw
 
@@ -49,7 +48,7 @@ class TestPrimeMemo:
         values = [0, 1, 2, 3, 14, 24, 90, 7907]
         warm = [next_prime(v) for v in values]
         again = [next_prime(v) for v in values]
-        set_cache_enabled(False)
+        set_config(cache=False)
         raw = [next_prime(v) for v in values]
         assert warm == again == raw
 
@@ -62,7 +61,7 @@ class TestSharedFamily:
         assert shared_family(100, 11, 2) is not shared_family(99, 11, 2)
 
     def test_disabled_cache_returns_fresh_instances(self):
-        set_cache_enabled(False)
+        set_config(cache=False)
         assert shared_family(100, 11, 2) is not shared_family(100, 11, 2)
 
     def test_shared_instance_evaluates_like_a_fresh_one(self):
@@ -98,7 +97,7 @@ class TestScheduleMemo:
     def test_defective_schedule_memo_matches_raw(self):
         warm = defective_schedule(5000, 0.25)
         again = defective_schedule(5000, 0.25)
-        set_cache_enabled(False)
+        set_config(cache=False)
         raw = defective_schedule(5000, 0.25)
         assert warm == again == raw
 
@@ -137,23 +136,26 @@ class TestSnapshotRestore:
     def test_restore_while_disabled_is_noop(self):
         proper_schedule(2047, 3)
         state = snapshot()
-        set_cache_enabled(False)
+        set_config(cache=False)
         restore(state)
         assert not registry("proper_schedule")
 
-    def test_set_cache_enabled_reports_previous_state(self):
+    def test_use_config_cache_restores_previous_state(self):
         assert cache_enabled()
-        assert set_cache_enabled(False) is True
-        assert not cache_enabled()
-        assert set_cache_enabled(True) is False
+        with use_config(cache=False):
+            assert not cache_enabled()
+            with use_config(cache=True):
+                assert cache_enabled()
+            assert not cache_enabled()
+        assert cache_enabled()
 
 
 class TestDiskSpill:
     def test_path_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
         assert cache_file_path() is None
         assert cache_file_path("/explicit/file.pkl") == "/explicit/file.pkl"
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         resolved = cache_file_path()
         assert resolved == str(tmp_path / "substrate_cache.pkl")
 
@@ -168,7 +170,7 @@ class TestDiskSpill:
         assert registry("proper_schedule")
 
     def test_roundtrip_via_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         proper_schedule(2047, 3)
         written = save_to_disk()
         assert written == str(tmp_path / "substrate_cache.pkl")
@@ -176,7 +178,7 @@ class TestDiskSpill:
         assert load_from_disk()
 
     def test_save_without_configuration_is_noop(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
         proper_schedule(2047, 3)
         assert save_to_disk() is None
 
@@ -241,7 +243,7 @@ class TestDiskSpill:
         source = str(tmp_path / "substrate_cache.pkl")
         proper_schedule(2047, 3)
         assert save_to_disk(source)
-        set_cache_enabled(False)
+        set_config(cache=False)
         assert not load_from_disk(source)
         assert save_to_disk(source) is None
 
@@ -280,16 +282,13 @@ class TestCounters:
     def test_disabled_cache_counts_all_misses(self):
         from repro.substrates.cover_free import shared_family
 
-        previous = cache.set_cache_enabled(False)
-        try:
+        with use_config(cache=False):
             reset_metrics()
             shared_family(9, 3, 1)
             shared_family(9, 3, 1)
             assert cache.cache_counters()["families"] == {
                 "hits": 0, "misses": 2
             }
-        finally:
-            cache.set_cache_enabled(previous)
 
     def test_interned_network_counts(self):
         from repro.graphs.generators import star_graph
@@ -312,7 +311,7 @@ class TestCounters:
 
 class TestDiskState:
     def test_load_marks_state(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         cache.registry("disk_state_probe")["k"] = "v"
         try:
             assert cache.save_to_disk() is not None
