@@ -9,6 +9,7 @@ invocation is reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -340,6 +341,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     import math
     import time
 
+    from .coloring.validate import column_violation
     from .graphs.streaming import (
         inflated_seed_coloring,
         stream_gnp,
@@ -349,6 +351,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         stream_tree,
     )
     from .obs.manifest import peak_rss_kb
+    from .sim.compiled import color_column
     from .substrates.greedy import greedy_color_reduction
 
     build_start = time.perf_counter()
@@ -379,20 +382,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
                                     ledger=ledger)
     solve_s = time.perf_counter() - solve_start
 
-    invalid = None
-    if not args.no_validate:
-        for i, j in compiled.edge_ids():
-            if result[i] == result[j]:
-                invalid = f"edge ({i}, {j}) is monochromatic"
-                break
-        if invalid is None and result and max(result.values()) >= target:
-            invalid = f"color >= target {target}"
+    column = color_column(result, compiled)
+    invalid = (None if args.no_validate
+               else column_violation(compiled, column, target))
     rate = compiled.n / solve_s if solve_s > 0 else float("inf")
     rss_kb = peak_rss_kb()
     if args.json:
         import hashlib
         import json as _json
-        from array import array
 
         from .serve.schema import envelope
 
@@ -400,7 +397,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         _last_ledger = ledger
         # Checksum of the dense int64 color column: the cheap bit-identity
         # probe CI uses to assert sharded runs match serial ones.
-        column = array("q", (result[i] for i in range(compiled.n)))
         digest = hashlib.blake2b(column.tobytes(),
                                  digest_size=16).hexdigest()
         print(_json.dumps(envelope(
@@ -409,7 +405,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
             topology={"kind": args.topology, "n": compiled.n,
                       "m": compiled.m, "max_degree": delta},
             result={"q": q, "target": target,
-                    "color_count": len(set(result.values())),
+                    "color_count": len(set(column.tolist())),
                     "colors_blake2b": digest,
                     "valid": None if args.no_validate else not invalid,
                     **({"invalid_reason": invalid} if invalid else {})},
@@ -810,6 +806,41 @@ def _write_trace(args: argparse.Namespace, tracer, status: int) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """The ``repro`` command line; returns the exit status.
+
+    A reader that closes stdout early (``repro trace FILE | head -1``)
+    ends the output normally: the rest is discarded, with no traceback.
+    """
+    status = 0
+    try:
+        status = _main(argv)
+        # Surface a late EPIPE here rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_closed():
+            raise
+        # Interpreter shutdown flushes stdout once more: point the
+        # descriptor at devnull so that flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
+
+
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe whose reader has gone away (a broken
+    socket elsewhere must still fail loudly)."""
+    try:
+        import select
+
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(event & select.POLLERR for _, event in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.shards is not None and args.shards < 1:

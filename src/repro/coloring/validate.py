@@ -9,8 +9,9 @@ conflicts from scratch) so tests can cross-check algorithm outputs.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Mapping, Tuple
+from typing import Hashable, List, Mapping, Optional, Tuple
 
+from ..sim import arrays
 from ..sim.errors import AlgorithmFailure
 from ..sim.network import Network
 from .instance import (
@@ -44,6 +45,50 @@ def check_proper_coloring(network: Network,
                 f"edge {u!r}-{v!r} monochromatic with color {colors[u]}"
             )
     return violations
+
+
+def column_violation(compiled, column, target: int) -> Optional[str]:
+    """The first reason a dense color column is not a proper coloring
+    below ``target``, or ``None`` when it is one.
+
+    ``column[i]`` (an ``array('q')`` or int64 ndarray) colors dense id
+    ``i`` of the :class:`~repro.sim.compiled.CompiledNetwork`.  The first
+    monochromatic edge in :meth:`~repro.sim.compiled.CompiledNetwork.edge_ids`
+    order is reported as ``edge (i, j) is monochromatic``; failing that,
+    a color at or above ``target``.  With the NumPy backend the check is
+    a few array passes over bounded slices of the CSR rows.
+    """
+    views = compiled.numpy_views()
+    if views is None:
+        for i, j in compiled.edge_ids():
+            if column[i] == column[j]:
+                return f"edge ({i}, {j}) is monochromatic"
+        if len(column) and max(column) >= target:
+            return f"color >= target {target}"
+        return None
+    np = arrays.get_numpy()
+    indptr, indices, degrees = views
+    colors = np.asarray(column, dtype=np.int64)
+    n = compiled.n
+    lo = 0
+    while lo < n:
+        # Rows [lo, hi) hold at most MAX_MATCH_ELEMENTS entries (one
+        # row at least, whatever its length).
+        hi = int(np.searchsorted(
+            indptr, indptr[lo] + arrays.MAX_MATCH_ELEMENTS, side="right")) - 1
+        hi = min(n, max(hi, lo + 1))
+        rows = np.repeat(np.arange(lo, hi), degrees[lo:hi])
+        neighbors = indices[indptr[lo]:indptr[hi]]
+        hits = np.flatnonzero((rows < neighbors)
+                              & (colors[rows] == colors[neighbors]))
+        if hits.shape[0]:
+            first = hits[0]
+            return (f"edge ({int(rows[first])}, {int(neighbors[first])}) "
+                    f"is monochromatic")
+        lo = hi
+    if n and int(colors.max()) >= target:
+        return f"color >= target {target}"
+    return None
 
 
 def check_list_membership(lists: Mapping[Node, Tuple[Color, ...]],

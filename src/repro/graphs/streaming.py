@@ -44,7 +44,7 @@ from array import array
 from typing import Iterable, Iterator, Tuple
 
 from ..sim import arrays
-from ..sim.compiled import CompiledNetwork, _ID_TYPECODE
+from ..sim.compiled import ColorColumn, CompiledNetwork, _ID_TYPECODE
 from ..sim.errors import NetworkError
 from .generators import _interned
 
@@ -320,21 +320,28 @@ def greedy_seed_coloring(compiled: CompiledNetwork) -> array:
     smallest color unused by lower-id neighbors gives one with at most
     ``max_degree + 1`` classes, returned as an ``array('q')``.
     """
-    indptr = compiled.indptr
-    indices = compiled.indices
     n = compiled.n
-    colors = array(_ID_TYPECODE, bytes(8 * n)) if n else array(_ID_TYPECODE)
-    for i in range(n):
-        used = {
-            colors[j]
-            for j in indices[indptr[i]:indptr[i + 1]]
-            if j < i
-        }
+    if not n:
+        return array(_ID_TYPECODE)
+    indptr = compiled.indptr.tolist()
+    indices = compiled.indices.tolist()
+    colors = [0] * n
+    # ``stamp[c] == i`` marks color c as taken by a lower neighbor of
+    # node i: one reused list instead of a fresh set per node.  Lower
+    # neighbors hold colors <= Delta, and node i's pick is at most its
+    # number of lower neighbors, so Delta + 2 stamps cover every probe.
+    stamp = [-1] * (compiled.raw_max_degree() + 2)
+    start = 0
+    for i, stop in enumerate(indptr[1:]):
+        for j in indices[start:stop]:
+            if j < i:
+                stamp[colors[j]] = i
+        start = stop
         color = 0
-        while color in used:
+        while stamp[color] == i:
             color += 1
         colors[i] = color
-    return colors
+    return array(_ID_TYPECODE, colors)
 
 
 def inflated_seed_coloring(compiled: CompiledNetwork, q: int):
@@ -343,22 +350,38 @@ def inflated_seed_coloring(compiled: CompiledNetwork, q: int):
     Spreads the greedy seed classes over ``q`` colors by an interleaved
     blow-up (``color * factor + node mod factor``), preserving
     properness: adjacent nodes differ in the greedy class, hence in the
-    inflated color.  Returns ``(colors_dict, q_used)`` where ``q_used =
-    classes * factor <= q`` is the actual palette bound; requires ``q``
-    at least the number of greedy classes.
+    inflated color.  Returns ``(colors, q_used)``: ``colors`` is a
+    read-only :class:`~repro.sim.compiled.ColorColumn` view over one
+    int64 column (an ndarray with the NumPy backend, else an
+    ``array('q')``) and ``q_used = classes * factor <= q`` is the actual
+    palette bound.  Requires ``q`` at least the number of greedy
+    classes, and ``q_used`` must fit the int64 column.
     """
     seed = greedy_seed_coloring(compiled)
-    classes = (max(seed) + 1) if len(seed) else 1
+    np = arrays.get_numpy()
+    if np is not None:
+        seed = np.frombuffer(seed, dtype=np.int64)
+        top = int(seed.max()) if len(seed) else 0
+    else:
+        top = max(seed, default=0)
+    classes = top + 1
     if q < classes:
         raise NetworkError(
             f"palette q={q} smaller than the {classes} greedy classes"
         )
     factor = q // classes
-    colors = {
-        node: seed[i] * factor + (i % factor)
-        for i, node in enumerate(compiled.order)
-    }
-    return colors, classes * factor
+    q_used = classes * factor
+    if q_used > arrays.MAX_COLOR:
+        raise NetworkError(
+            f"palette q={q} does not fit the int64 color column"
+        )
+    if np is not None:
+        column = seed * factor + np.arange(compiled.n,
+                                           dtype=np.int64) % factor
+    else:
+        column = array(_ID_TYPECODE, (
+            color * factor + i % factor for i, color in enumerate(seed)))
+    return ColorColumn(compiled.order, column, compiled.index), q_used
 
 
 __all__ = [

@@ -146,7 +146,9 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
                           ledger: CostLedger
                           ) -> Tuple[Dict[str, Any], Dict[Any, int]]:
     """The ``repro scale`` workload: inflated palette down to Delta+1."""
+    from ..coloring.validate import column_violation
     from ..graphs.streaming import inflated_seed_coloring
+    from ..sim.compiled import color_column
     from ..substrates.greedy import greedy_color_reduction
 
     delta = compiled.raw_max_degree()
@@ -170,12 +172,8 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
     if shards > 1:
         payload["shards"] = shards
     if params["validate"]:
-        violations = sum(
-            1 for i, j in compiled.edge_ids() if result[i] == result[j]
-        )
-        if result and max(result.values()) >= target:
-            violations += 1
-        payload["valid"] = violations == 0
+        payload["valid"] = column_violation(
+            compiled, color_column(result, compiled), target) is None
     return payload, result
 
 

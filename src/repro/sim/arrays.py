@@ -23,9 +23,10 @@ This module is the single switch point for that backend:
   :data:`MAX_COLOR`); fields beyond that fall back to pure Python, whose
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
-  :class:`~repro.substrates.cover_free.PolynomialFamily` and the small
-  sort/bincount-style neighbor-color tallies shared by the greedy-sweep
-  and color-reduction kernels.
+  :class:`~repro.substrates.cover_free.PolynomialFamily`, the small
+  sort/bincount-style neighbor-color tallies of the greedy-sweep and
+  two-sweep kernels, and the all-rows CSR mex of the color-reduction
+  kernels.
 """
 
 from __future__ import annotations
@@ -201,18 +202,30 @@ def membership_counts(np, values, sorted_candidates):
     return np.bincount(positions[hits], minlength=size).astype(np.int64)
 
 
-def mex_below(np, values, limit: int) -> int:
-    """The minimum excluded value of ``values``, saturated at ``limit``.
+def batched_mex(np, indptr, indices, values, rows):
+    """The minimum excluded value of ``values`` over each CSR row.
 
-    Returns the smallest non-negative integer not present in ``values``
-    when that integer is below ``limit``, else ``limit`` (callers treat
-    saturation as "no free color below the target").  Values outside
-    ``[0, limit)`` cannot be a mex candidate and are ignored.
+    Entry ``r`` of the result is the smallest non-negative integer not
+    in ``{values[j] : j in indices[indptr[rows[r]]:indptr[rows[r] + 1]]}``
+    -- the greedy rule "smallest color no neighbor holds" for every row
+    at once, with no per-row Python work.  A row of length ``L`` has
+    its mex in ``0..L``, so each row gets ``L + 1`` presence slots; a
+    value outside ``[0, L)`` can never block a candidate and is
+    ignored.  Temporaries hold ``sum(L) + len(rows)`` elements: callers
+    bound them by slicing ``rows`` (see :data:`MAX_MATCH_ELEMENTS`).
     """
-    present = np.zeros(limit + 1, dtype=bool)
-    clipped = np.where(
-        (values < 0) | (values > limit), limit, values
-    )
-    present[clipped] = True
-    free = np.flatnonzero(~present[:limit])
-    return int(free[0]) if free.shape[0] else limit
+    count = rows.shape[0]
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    total = int(lengths.sum())
+    row_of = np.repeat(np.arange(count), lengths)
+    # Flat CSR position of every entry: row start plus offset in row.
+    firsts = np.cumsum(lengths) - lengths
+    seen = values[indices[np.repeat(starts - firsts, lengths)
+                          + np.arange(total)]]
+    keep = (seen >= 0) & (seen < lengths[row_of])
+    slots = np.cumsum(lengths + 1) - (lengths + 1)
+    present = np.zeros(total + count, dtype=bool)
+    present[slots[row_of[keep]] + seen[keep]] = True
+    free = np.flatnonzero(~present)
+    return free[np.searchsorted(free, slots)] - slots

@@ -36,6 +36,7 @@ or apply the paper's floor of 2 themselves.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 Node = Hashable
@@ -178,11 +179,18 @@ class CompiledNetwork:
     def degrees(self):
         """Per-node degrees as an ``array('q')``, built on first use."""
         if self._degrees is None:
+            from .arrays import get_numpy
+
+            np = get_numpy()
             indptr = self.indptr
-            self._degrees = array(
-                _ID_TYPECODE,
-                (indptr[i + 1] - indptr[i] for i in range(self.n)),
-            )
+            if np is not None:
+                self._degrees = array(_ID_TYPECODE, np.diff(
+                    np.frombuffer(indptr, dtype=np.int64)).tobytes())
+            else:
+                self._degrees = array(
+                    _ID_TYPECODE,
+                    (indptr[i + 1] - indptr[i] for i in range(self.n)),
+                )
         return self._degrees
 
     @property
@@ -258,6 +266,9 @@ class CompiledNetwork:
 
     def max_degree(self) -> int:
         """Maximum degree without the paper's floor of 2."""
+        views = self.numpy_views()
+        if views is not None:
+            return int(views[2].max()) if self.n else 0
         return max(self.degrees, default=0)
 
     def has_edge_ids(self, i: int, j: int) -> bool:
@@ -326,7 +337,7 @@ class CompiledNetwork:
 
     def raw_max_degree(self) -> int:
         """Maximum degree without the paper's floor of 2 (Network facade)."""
-        return max(self.degrees, default=0)
+        return self.max_degree()
 
     def edge_count(self) -> int:
         """The number of undirected edges (Network facade)."""
@@ -343,3 +354,80 @@ class CompiledNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledNetwork(n={self.n}, m={self.m})"
+
+
+class ColorColumn(Mapping):
+    """Read-only ``node -> color`` view over a dense color column.
+
+    ``column[i]`` is the color of ``order[i]``; the column is an
+    ``array('q')`` or an int64 ndarray, held by reference and never
+    written through the view.  Lookups return plain ``int`` whatever the
+    column type, so a view formats, hashes and serializes exactly like
+    the ``dict`` the per-node engines return.  Consumers that can work
+    on the whole column (validation, digests) read :attr:`column`
+    directly instead of paying one lookup per node.
+    """
+
+    __slots__ = ("order", "column", "_index")
+
+    def __init__(self, order, column, index=None):
+        if len(column) != len(order):
+            raise ValueError("column length must match order")
+        self.order = order
+        self.column = column
+        self._index = index
+
+    @property
+    def index(self):
+        """``node -> dense id`` (identity for ``order == range(n)``)."""
+        if self._index is None:
+            order = self.order
+            if isinstance(order, range) and order == range(len(order)):
+                self._index = _DenseIndex(len(order))
+            else:
+                self._index = {node: i for i, node in enumerate(order)}
+        return self._index
+
+    def __getitem__(self, node) -> int:
+        return int(self.column[self.index[node]])
+
+    def __contains__(self, node) -> bool:
+        return node in self.index
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ColorColumn(n={len(self.order)})"
+
+
+def color_column(colors, compiled: CompiledNetwork):
+    """The dense color column of ``colors`` in ``compiled.order``.
+
+    A :class:`ColorColumn` over the same order hands back its own column
+    (uncopied); any other mapping is read once per node into an
+    ``array('q')`` (a missing node raises ``KeyError``).  Returns
+    ``None`` when some color is not a plain ``int`` or does not fit in
+    64 bits: only the per-node engines keep such values as they are.
+    """
+    order = compiled.order
+    if isinstance(colors, ColorColumn) and (
+            colors.order is order or colors.order == order):
+        return colors.column
+    return int_column([colors[node] for node in order])
+
+
+def int_column(values) -> Optional[array]:
+    """``values`` as an ``array('q')``, or ``None`` when one of them is
+    not a plain ``int`` (bools and NumPy scalars included) or does not
+    fit in 64 bits."""
+    for value in values:
+        if type(value) is not int:
+            return None
+    try:
+        return array(_ID_TYPECODE, values)
+    except OverflowError:
+        return None

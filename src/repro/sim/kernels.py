@@ -26,15 +26,26 @@ Lifecycle, driven by ``Scheduler._run_vectorized``:
 2. ``kernel.prepare(compiled, programs, bandwidth)`` builds the column
    state (or returns ``None`` to decline -- e.g. heterogeneous
    parameters -- which also falls back);
-3. ``kernel.step(round_number, columns, inboxes)`` executes one whole
-   synchronous round and returns a :class:`KernelRound` with the
-   round's ledger charges; ``inboxes`` is whatever the previous step
-   returned as ``outboxes`` (a kernel-private representation of the
-   in-flight messages -- most kernels keep the "messages" implicit in
-   their columns and leave it ``None``);
+3. :func:`~repro.sim.scheduler.run_kernel` counts the hit and calls
+   ``kernel.step(round_number, columns, inboxes)`` until quiescence:
+   each step executes one whole synchronous round and returns a
+   :class:`KernelRound` with the round's ledger charges; ``inboxes`` is
+   whatever the previous step returned as ``outboxes`` (a
+   kernel-private representation of the in-flight messages -- most
+   kernels keep the "messages" implicit in their columns and leave it
+   ``None``);
 4. ``kernel.finalize(columns, programs)`` writes the terminal state
    back into the program objects so ``Scheduler.outputs()`` and
    protocol wrappers see exactly what a per-node run would have left.
+
+A kernel may also offer a *column entry* that builds the same column
+state straight from arrays, with no program object at all (the color
+reduction's ``from_columns``; its ``prepare`` only reads the programs
+into a column and calls it).  A substrate that already holds its state
+as a column calls that entry and then
+:func:`~repro.sim.scheduler.run_columns`, which runs step 3 and
+records the run's metrics and trace exactly as a scheduler run would;
+the substrate reads the result off the final column instead of step 4.
 
 Kernels are registered per *exact* program class (subclasses may
 override ``on_round`` arbitrarily, so they never inherit a kernel):
@@ -292,6 +303,10 @@ def fanout_totals(compiled: CompiledNetwork) -> Tuple[int, int]:
     nodes that actually queue one (``ctx.broadcast`` with no neighbors
     queues nothing, so zero-degree nodes send -- and count -- nothing).
     """
+    views = compiled.numpy_views()
+    if views is not None:
+        degrees = views[2]
+        return int(degrees.sum()), int((degrees > 0).sum())
     degrees = compiled.degrees
     total = 0
     envelopes = 0

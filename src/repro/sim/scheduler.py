@@ -67,20 +67,25 @@ through the ``engine`` field of the execution config
 (:mod:`repro.sim.config`: ``REPRO_SIM_ENGINE``, ``set_config``), or
 temporarily for a whole protocol stack (:func:`use_engine`).
 
-All three engines share one telemetry hook: when a
+All engines share one telemetry hook, :func:`observe_run`: when a
 :class:`~repro.obs.tracer.Tracer` is installed
 (:func:`repro.obs.use_tracer`), every ``run`` emits an aggregate span +
 round-batch event built from the ledger delta -- never per-round or
 per-node records -- so tracing costs one extra ``None`` check per run
 when disabled and does not change engine eligibility when enabled (a
 traced vectorized run keeps its kernels; contrast the per-round
-``observer``, which forces the fast path).
+``observer``, which forces the fast path).  Column runs
+(:func:`run_columns`: a kernel's column state built without program
+objects) go through the same hook and the same kernel loop
+(:func:`run_kernel`), so they count, charge and trace exactly like a
+vectorized scheduler run.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Mapping,
+                    Optional, Tuple)
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracer import current_tracer
@@ -157,27 +162,12 @@ class Scheduler:
         ``"fast"`` for populations it cannot batch.
         """
         name = _config.setting("engine", engine)
-        tracer = current_tracer()
-        # Per-run registry metrics from the ledger delta: recorded for
-        # every run, traced or not.  Write-only observation -- nothing
-        # below reads the registry, so results cannot change.
-        ledger = self.ledger
-        before = (ledger.rounds, ledger.messages, ledger.bits,
-                  ledger.broadcasts)
-        started = time.perf_counter()
-        try:
-            if tracer is None:
-                return self._dispatch(name, max_rounds)
-            return self._run_traced(tracer, name, max_rounds)
-        finally:
-            obs_metrics.record_run(
-                name,
-                ledger.rounds - before[0],
-                ledger.messages - before[1],
-                ledger.bits - before[2],
-                ledger.broadcasts - before[3],
-                time.perf_counter() - started,
-            )
+        self.dispatch_info = self.shard_run = None
+        return observe_run(
+            name, len(self.programs), self.ledger,
+            lambda: self._dispatch(name, max_rounds),
+            lambda: (self.dispatch_info, self.shard_run),
+        )
 
     def _dispatch(self, name: str, max_rounds: int) -> CostLedger:
         if name == "reference":
@@ -187,86 +177,6 @@ class Scheduler:
         if name == "sharded":
             return self._run_sharded(max_rounds)
         return self._run_fast(max_rounds)
-
-    def _run_traced(self, tracer, name: str,
-                    max_rounds: int) -> CostLedger:
-        """Run under the installed :class:`~repro.obs.tracer.Tracer`.
-
-        Tracing is *aggregate*, not per-round: the run's ledger delta is
-        computed around the engine dispatch and emitted as one ``run``
-        span plus one ``round-batch`` event, so the hot loops are
-        untouched and -- unlike attaching a
-        :class:`~repro.sim.tracing.RoundObserver` -- the vectorized
-        engine keeps its kernels.  The logical fields of the emitted
-        records are engine-invariant (the ledger delta is covered by the
-        engine-equivalence contract); ``engine`` / ``kernel`` /
-        ``fallback`` / wall-clock ride along as physical fields, with
-        kernel attribution handed over by the engine itself
-        (:attr:`dispatch_info`, :attr:`shard_run`).
-        """
-        ledger = self.ledger
-        before = (ledger.rounds, ledger.messages, ledger.bits,
-                  ledger.broadcasts)
-        self.dispatch_info = self.shard_run = None
-        with tracer.span("run", "scheduler",
-                         nodes=len(self.programs)) as span:
-            try:
-                return self._dispatch(name, max_rounds)
-            finally:
-                info = self.dispatch_info or {}
-                kernel = info.get("kernel")
-                fallback = info.get("fallback")
-                backend = info.get("backend")
-                if name in ("vectorized", "sharded"):
-                    tracer.annotate(
-                        "dispatch", kernel=kernel, fallback=fallback,
-                        backend=backend,
-                        warmup_s=info.get("warmup_s", 0.0),
-                    )
-                last = self.shard_run
-                if last is not None:
-                    # Physical records (kind="kernel" is in
-                    # PHYSICAL_KINDS): per-shard stats never enter the
-                    # logical byte-identity contract.
-                    for entry in last["per_shard"]:
-                        tracer.annotate(
-                            "shard",
-                            shard=entry["shard"],
-                            shards=last["shards"],
-                            halo_bytes=(entry["halo_in_bytes"]
-                                        + entry["halo_out_bytes"]),
-                            barrier_wait_s=entry["barrier_wait_s"],
-                        )
-                    span.attrs.update(
-                        shards=last["shards"],
-                        halo_bytes=last["halo_bytes"],
-                        barrier_wait_s=last["barrier_wait_s"],
-                    )
-                from ..obs.manifest import peak_rss_kb
-
-                span.attrs.update(
-                    rounds=ledger.rounds - before[0],
-                    messages=ledger.messages - before[1],
-                    bits=ledger.bits - before[2],
-                    broadcasts=ledger.broadcasts - before[3],
-                    engine=name,
-                    kernel=kernel,
-                    fallback=fallback,
-                    backend=backend,
-                    # Physical field (PHYSICAL_FIELDS): peak RSS so far,
-                    # outside the logical byte-identity contract.
-                    rss_kb=peak_rss_kb(),
-                )
-                tracer.event(
-                    "round-batch", "rounds",
-                    rounds=ledger.rounds - before[0],
-                    messages=ledger.messages - before[1],
-                    bits=ledger.bits - before[2],
-                    max_message_bits=ledger.max_message_bits,
-                    broadcasts=ledger.broadcasts - before[3],
-                    engine=name,
-                    kernel=kernel,
-                )
 
     # ------------------------------------------------------------------
     # Fast engine
@@ -517,7 +427,7 @@ class Scheduler:
         any population with identical semantics.
         """
         # Local imports: avoid an import cycle with the kernel layer.
-        from .kernels import _record_fallback, _record_hit, kernel_for
+        from .kernels import _record_fallback, kernel_for
 
         def fall_back(reason: str, warmup_s: float = 0.0) -> CostLedger:
             self.dispatch_info = _record_fallback(reason, warmup_s)
@@ -547,51 +457,12 @@ class Scheduler:
         warmup_s = time.perf_counter() - warmup_start
         if columns is None:
             return fall_back("declined", warmup_s)
-        self.dispatch_info = _record_hit(
-            type(kernel).__name__, warmup_s,
-            getattr(kernel, "backend", "python"))
-
-        ledger = self.ledger
-        step = kernel.step
-        rounds = 0
-        messages = 0
-        bits = 0
-        max_bits = 0
-        broadcasts = 0
-        inboxes = None
-        active = len(programs)
-        round_number = 0
-        try:
-            while True:
-                if round_number >= max_rounds:
-                    raise RoundLimitExceeded(max_rounds, active)
-                round_number += 1
-                result = step(round_number, columns, inboxes)
-                rounds += 1
-                messages += result.messages
-                bits += result.bits
-                broadcasts += result.broadcasts
-                if result.max_message_bits > max_bits:
-                    max_bits = result.max_message_bits
-                active = result.active
-                inboxes = result.outboxes
-                if not active and not result.messages:
-                    break
-        finally:
-            # Completed rounds are charged even when a kernel step
-            # raises mid-run, exactly as the per-node engines do (a
-            # raising step leaves its own round uncharged).
-            if rounds:
-                ledger.charge_batch(
-                    rounds,
-                    messages=messages,
-                    bits=bits,
-                    max_message_bits=max_bits,
-                    broadcasts=broadcasts,
-                )
+        self.dispatch_info = {}
+        self.rounds_executed = run_kernel(
+            kernel, columns, len(programs), self.ledger, max_rounds,
+            warmup_s, self.dispatch_info)
         kernel.finalize(columns, programs)
-        self.rounds_executed = round_number
-        return ledger
+        return self.ledger
 
     # ------------------------------------------------------------------
     # Sharded engine
@@ -713,6 +584,185 @@ class Scheduler:
     def outputs(self) -> Dict[Node, object]:
         """Collect every node's declared output."""
         return {node: program.output() for node, program in self.programs.items()}
+
+
+def observe_run(engine: str, nodes: int, ledger: CostLedger,
+                body: Callable[[], Any],
+                attribution: Callable[[], Tuple[Optional[Dict[str, Any]],
+                                                Optional[Dict[str, Any]]]]
+                ) -> Any:
+    """Execute ``body()`` as one observed run of ``nodes`` nodes.
+
+    Every run -- a :class:`Scheduler` run on any engine, or a column
+    run that never built program objects (:func:`run_columns`) -- goes
+    through here.  The run's ledger delta and wall time land in the
+    metrics registry, traced or not (write-only: nothing reads the
+    registry back, so results cannot change).  Under an installed
+    :class:`~repro.obs.tracer.Tracer` the run becomes one ``run`` span
+    plus one ``round-batch`` event, never per-round or per-node records,
+    so the hot loops stay untouched and the vectorized engine keeps its
+    kernels.  The logical fields of those records are engine-invariant
+    (the ledger delta is covered by the engine-equivalence contract);
+    ``engine`` / ``kernel`` / ``fallback`` / wall-clock ride along as
+    physical fields.  ``attribution()`` returns the engine's
+    ``(dispatch_info, shard_run)`` hand-over, read once ``body`` ends.
+    """
+    tracer = current_tracer()
+    before = (ledger.rounds, ledger.messages, ledger.bits,
+              ledger.broadcasts)
+    started = time.perf_counter()
+    try:
+        if tracer is None:
+            return body()
+        with tracer.span("run", "scheduler", nodes=nodes) as span:
+            try:
+                return body()
+            finally:
+                _annotate_run(tracer, span, engine, ledger, before,
+                              *attribution())
+    finally:
+        obs_metrics.record_run(
+            engine,
+            ledger.rounds - before[0],
+            ledger.messages - before[1],
+            ledger.bits - before[2],
+            ledger.broadcasts - before[3],
+            time.perf_counter() - started,
+        )
+
+
+def _annotate_run(tracer, span, engine: str, ledger: CostLedger,
+                  before: Tuple[int, int, int, int],
+                  info: Optional[Dict[str, Any]],
+                  last: Optional[Dict[str, Any]]) -> None:
+    """The traced run's dispatch/shard annotations, span totals and
+    ``round-batch`` event (see :func:`observe_run`)."""
+    info = info or {}
+    kernel = info.get("kernel")
+    fallback = info.get("fallback")
+    backend = info.get("backend")
+    if engine in ("vectorized", "sharded"):
+        tracer.annotate(
+            "dispatch", kernel=kernel, fallback=fallback, backend=backend,
+            warmup_s=info.get("warmup_s", 0.0),
+        )
+    if last is not None:
+        # Physical records (kind="kernel" is in PHYSICAL_KINDS):
+        # per-shard stats never enter the logical byte-identity contract.
+        for entry in last["per_shard"]:
+            tracer.annotate(
+                "shard",
+                shard=entry["shard"],
+                shards=last["shards"],
+                halo_bytes=(entry["halo_in_bytes"]
+                            + entry["halo_out_bytes"]),
+                barrier_wait_s=entry["barrier_wait_s"],
+            )
+        span.attrs.update(
+            shards=last["shards"],
+            halo_bytes=last["halo_bytes"],
+            barrier_wait_s=last["barrier_wait_s"],
+        )
+    from ..obs.manifest import peak_rss_kb
+
+    span.attrs.update(
+        rounds=ledger.rounds - before[0],
+        messages=ledger.messages - before[1],
+        bits=ledger.bits - before[2],
+        broadcasts=ledger.broadcasts - before[3],
+        engine=engine,
+        kernel=kernel,
+        fallback=fallback,
+        backend=backend,
+        # Physical field (PHYSICAL_FIELDS): peak RSS so far, outside
+        # the logical byte-identity contract.
+        rss_kb=peak_rss_kb(),
+    )
+    tracer.event(
+        "round-batch", "rounds",
+        rounds=ledger.rounds - before[0],
+        messages=ledger.messages - before[1],
+        bits=ledger.bits - before[2],
+        max_message_bits=ledger.max_message_bits,
+        broadcasts=ledger.broadcasts - before[3],
+        engine=engine,
+        kernel=kernel,
+    )
+
+
+def run_kernel(kernel, columns: Any, active: int, ledger: CostLedger,
+               max_rounds: int, warmup_s: float,
+               dispatch: Dict[str, Any]) -> int:
+    """Count a kernel hit and step ``kernel`` to quiescence.
+
+    The vectorized engine's execution loop, shared by
+    ``Scheduler._run_vectorized`` (columns from ``prepare``) and
+    :func:`run_columns` (columns built without program objects).
+    ``dispatch`` receives the run's dispatch outcome before the first
+    step, so a raising run is still attributed.  The whole run is
+    charged as one ledger batch; completed rounds are charged even when
+    a step raises mid-run, exactly as the per-node engines do (a raising
+    step leaves its own round uncharged).  Returns the number of rounds
+    executed.
+    """
+    from .kernels import _record_hit
+
+    dispatch.update(_record_hit(type(kernel).__name__, warmup_s,
+                                getattr(kernel, "backend", "python")))
+    step = kernel.step
+    rounds = 0
+    messages = 0
+    bits = 0
+    max_bits = 0
+    broadcasts = 0
+    inboxes = None
+    round_number = 0
+    try:
+        while True:
+            if round_number >= max_rounds:
+                raise RoundLimitExceeded(max_rounds, active)
+            round_number += 1
+            result = step(round_number, columns, inboxes)
+            rounds += 1
+            messages += result.messages
+            bits += result.bits
+            broadcasts += result.broadcasts
+            if result.max_message_bits > max_bits:
+                max_bits = result.max_message_bits
+            active = result.active
+            inboxes = result.outboxes
+            if not active and not result.messages:
+                break
+    finally:
+        if rounds:
+            ledger.charge_batch(
+                rounds,
+                messages=messages,
+                bits=bits,
+                max_message_bits=max_bits,
+                broadcasts=broadcasts,
+            )
+    return round_number
+
+
+def run_columns(kernel, columns: Any, nodes: int, ledger: CostLedger,
+                warmup_s: float = 0.0,
+                max_rounds: int = DEFAULT_MAX_ROUNDS) -> int:
+    """One observed vectorized run over prebuilt column state.
+
+    For substrates that build ``columns`` straight from arrays (a
+    kernel's column entry) instead of handing the scheduler one program
+    object per node: the run is counted, charged and traced exactly like
+    ``Scheduler.run(engine="vectorized")`` hitting the same kernel.
+    Returns the number of rounds executed.
+    """
+    dispatch: Dict[str, Any] = {}
+    return observe_run(
+        "vectorized", nodes, ledger,
+        lambda: run_kernel(kernel, columns, nodes, ledger, max_rounds,
+                           warmup_s, dispatch),
+        lambda: (dispatch, None),
+    )
 
 
 def run_protocol(network: Network,

@@ -445,41 +445,17 @@ def _decide_python(state: _ShardState, active_color: int, target: int,
 
 def _decide_numpy(state: _ShardState, active_color: int, target: int
                   ) -> Tuple[list, int, int]:
-    """Batched mex over every decider of the shard at once.
-
-    The serial kernel only vectorizes per-decider tallies on
-    high-degree rows; batching *across* deciders pays off exactly where
-    that path declines (low degrees, huge decider sets).  The candidate
-    loop runs at most ``max_row_degree + 1`` passes: each pass bumps the
-    candidate of every decider whose current candidate appears among
-    its neighbors, and a node's mex never exceeds its degree.
-    """
+    """Batched mex over every decider of the shard at once
+    (:func:`repro.sim.arrays.batched_mex`)."""
     np = state.np
     left = np.searchsorted(state.sorted_colors, active_color, side="left")
     right = np.searchsorted(state.sorted_colors, active_color, side="right")
     deciders = state.sorted_ids[left:right]
     if not len(deciders):
         return [], 0, 0
-    colors = state.colors
-    indptr = state.indptr
-    starts = indptr[deciders]
-    lengths = indptr[deciders + 1] - starts
-    total = int(lengths.sum())
-    seg_id = np.repeat(np.arange(len(deciders)), lengths)
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = state.indices[
-        np.repeat(starts, lengths) + (np.arange(total) - offsets)
-    ]
-    neighbor_colors = colors[flat]
-    mex = np.zeros(len(deciders), dtype=np.int64)
-    while True:
-        hits = neighbor_colors == mex[seg_id]
-        if not hits.any():
-            break
-        blocked = np.bincount(
-            seg_id[hits], minlength=len(deciders)
-        ).astype(bool)
-        mex[blocked] += 1
+    lengths = state.degrees[deciders]
+    mex = arrays.batched_mex(np, state.indptr, state.indices, state.colors,
+                             deciders)
     failing = np.nonzero(mex >= target)[0]
     if len(failing):
         # Deciders are ascending, so the first failing entry is the
@@ -491,7 +467,7 @@ def _decide_numpy(state: _ShardState, active_color: int, target: int
             f"below {target}; target must be at least Delta + 1"
         )
     updates = list(zip(deciders.tolist(), mex.tolist()))
-    return updates, total, int((lengths > 0).sum())
+    return updates, int(lengths.sum()), int((lengths > 0).sum())
 
 
 def _apply_updates(state: _ShardState, updates: list) -> None:

@@ -17,11 +17,14 @@ Three roles in the reproduction:
 from __future__ import annotations
 
 import random as _random
+import time
+from array import array
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..coloring.instance import ArbdefectiveInstance
 from ..coloring.result import ColoringResult
 from ..sim import arrays
+from ..sim.compiled import ColorColumn, color_column, int_column
 from ..sim.congest import BandwidthModel, LocalModel
 from ..sim.errors import (
     AlgorithmFailure,
@@ -34,7 +37,7 @@ from ..sim.sharded import ShardSpec, register_sharded
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.network import Network
 from ..sim.node import NodeProgram, RoundContext
-from ..sim.scheduler import run_protocol
+from ..sim.scheduler import default_engine, run_columns, run_protocol
 
 Node = Hashable
 Color = int
@@ -547,15 +550,30 @@ class _ColorReductionKernel(RoundKernel):
     color* act, so the kernel buckets nodes by color once and each
     round touches one bucket -- the per-node engines dispatch an
     ``on_round`` ingest no-op to every other node, which on a
-    ``q``-round reduction is almost all of the work.
+    ``q``-round reduction is almost all of the work.  Buckets keyed on
+    the initial colors stay valid for the whole run: a recolored node
+    lands below ``target``, and every later active color is at least
+    ``target``.
 
-    Recolorings computed this round are applied to the shared color
-    column only at the round boundary: a node's broadcast is ingested
-    by its neighbors one round later, so same-round deciders must read
-    each other's *old* colors (the reference's stale-view semantics,
-    observable on improper inputs).  Declines non-uniform
-    ``q``/``target`` and mid-run state; ``finalize`` restores ``color``,
-    the transient ``neighbor_colors`` view is not reconstructed.
+    :meth:`from_columns` is the kernel's one entry: it takes the color
+    column itself, so a caller holding colors as an array
+    (:func:`greedy_color_reduction` on the vectorized engine) never
+    builds a program object per node; :meth:`prepare` only reads the
+    program objects into a column and calls it.  Under
+    :class:`~repro.sim.congest.LocalModel` with the NumPy backend the
+    column is an int64 ndarray and each round is one batched mex over
+    the deciders' CSR rows (:func:`repro.sim.arrays.batched_mex`);
+    otherwise it is an ``array('q')`` (or, from ``prepare``, a list
+    keeping the programs' own color objects) and deciders run one at a
+    time, in node order, with their CONGEST checks.
+
+    Recolorings computed this round are applied to the column only at
+    the round boundary: a node's broadcast is ingested by its neighbors
+    one round later, so same-round deciders must read each other's
+    *old* colors (the reference's stale-view semantics, observable on
+    improper inputs).  ``prepare`` declines non-uniform ``q``/``target``
+    and mid-run state; ``finalize`` restores ``color``, the transient
+    ``neighbor_colors`` view is not reconstructed.
     """
 
     def prepare(self, compiled, programs, bandwidth):
@@ -567,56 +585,59 @@ class _ColorReductionKernel(RoundKernel):
                     or program.neighbor_colors):
                 return None
         colors = [program.color for program in programs]
-        by_color: Dict[int, list] = {}
-        for i, color in enumerate(colors):
-            by_color.setdefault(color, []).append(i)
+        column = int_column(colors)
+        columns = self.from_columns(
+            compiled, colors if column is None else column, q, target,
+            bandwidth)
+        columns["programs"] = programs
+        return columns
+
+    def from_columns(self, compiled, colors, q, target, bandwidth):
+        """Column state for reducing ``colors`` (one per dense id, in
+        ``compiled.order``; never modified) from ``q`` to ``target``.
+
+        ``colors`` is an ``array('q')`` or int64 ndarray, or a list of
+        color objects that are not all plain 64-bit ints (kept as they
+        are, on the per-decider loop).
+        """
+        np = arrays.get_numpy()
+        local = type(bandwidth) is LocalModel
         total_copies, envelopes = fanout_totals(compiled)
-        state = self._prepare_arrays(compiled, colors, target)
-        return {
-            "programs": programs,
+        columns = {
+            "programs": None,
             "order": compiled.order,
-            "degrees": compiled.degrees,
-            # Deciders slice their CSR row on demand: each node decides
-            # exactly once, so pre-materializing n row copies would only
-            # double the topology's footprint at scale.
-            "indices": compiled.indices,
-            "arrays": state,
-            "indptr": compiled.indptr,
-            "colors": colors,
-            "by_color": by_color,
             "q": q,
             "target": target,
             "bits": color_bits(q),
             "total_copies": total_copies,
             "envelopes": envelopes,
-            "check_fanout": (None if type(bandwidth) is LocalModel
-                             else bandwidth.check_fanout),
+            "check_fanout": None if local else bandwidth.check_fanout,
         }
-
-    def _prepare_arrays(self, compiled, colors, target):
-        """NumPy column state for the mex path, or ``None`` to decline.
-
-        Keeps an int64 mirror of the color column next to the CSR index
-        view so a high-degree decider computes its minimum excluded color
-        with one gather + boolean table instead of a Python set loop.
-        The mirror is updated at the same round boundary as the list, so
-        the stale-view semantics are preserved bit-for-bit.  Topologies
-        whose maximum degree stays under ``MIN_TALLY`` decline: no
-        decider would ever take the gather path, so the mirror upkeep
-        would be pure overhead.
-        """
-        np = arrays.get_numpy()
-        if (np is None or compiled.n < arrays.MIN_BATCH
-                or not 0 < target <= arrays.MAX_MATCH_ELEMENTS
-                or max(compiled.degrees, default=0) < arrays.MIN_TALLY):
-            return None
-        try:
-            mirror = np.array(colors, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return None
-        views = compiled.numpy_views()
-        self.backend = "numpy"
-        return {"np": np, "colors": mirror, "indices": views[1]}
+        if (np is not None and local and compiled.n >= arrays.MIN_BATCH
+                and not isinstance(colors, list)):
+            self.backend = "numpy"
+            column = np.array(colors, dtype=np.int64)
+            indptr, indices, degrees = compiled.numpy_views()
+            deciding = np.flatnonzero((column >= target) & (column < q))
+            # Stable: within one color, deciders stay in node order.
+            deciding = deciding[np.argsort(column[deciding], kind="stable")]
+            columns.update(np=np, colors=column, indptr=indptr,
+                           indices=indices, degrees=degrees,
+                           deciders=deciding,
+                           decider_colors=column[deciding])
+            return columns
+        column = list(colors) if isinstance(colors, list) \
+            else array("q", colors)
+        by_color: Dict[int, list] = {}
+        for i, color in enumerate(column):
+            by_color.setdefault(color, []).append(i)
+        # Deciders slice their CSR row on demand: each node decides
+        # exactly once, so pre-materializing n row copies would only
+        # double the topology's footprint at scale.
+        columns.update(np=None, colors=column, indptr=compiled.indptr,
+                       indices=compiled.indices, degrees=compiled.degrees,
+                       by_color=by_color)
+        return columns
 
     def step(self, round_number, columns, inboxes) -> KernelRound:
         colors = columns["colors"]
@@ -646,34 +667,86 @@ class _ColorReductionKernel(RoundKernel):
         active_color = columns["q"] - round_number + 1
         if active_color < target:
             return KernelRound(active=0)
+        if columns["np"] is not None:
+            messages, broadcasts = self._decide_batched(columns,
+                                                        active_color)
+        else:
+            messages, broadcasts = self._decide_each(columns, active_color)
+        return KernelRound(
+            active=len(colors),
+            messages=messages,
+            bits=messages * bits,
+            max_message_bits=bits if messages else 0,
+            broadcasts=broadcasts,
+        )
+
+    @staticmethod
+    def _fail(columns, i):
+        programs = columns["programs"]
+        node = programs[i].node if programs is not None \
+            else columns["order"][i]
+        return AlgorithmFailure(
+            f"node {node!r}: no free color below {columns['target']}; "
+            f"target must be at least Delta + 1"
+        )
+
+    def _decide_batched(self, columns, active_color):
+        """Every decider of the round at once; returns ``(messages,
+        broadcasts)``.  Deciders are sliced so each batch's temporaries
+        stay within ``MAX_MATCH_ELEMENTS`` elements."""
+        np = columns["np"]
+        keys = columns["decider_colors"]
+        lo = int(np.searchsorted(keys, active_color, side="left"))
+        hi = int(np.searchsorted(keys, active_color, side="right"))
+        if lo == hi:
+            return 0, 0
+        deciders = columns["deciders"][lo:hi]
+        colors = columns["colors"]
+        lengths = columns["degrees"][deciders]
+        # Elements per batch: one per row entry plus one slot per row.
+        ends = np.cumsum(lengths + 1)
+        chosen = []
+        start = 0
+        while start < len(deciders):
+            base = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(
+                ends, base + arrays.MAX_MATCH_ELEMENTS, side="right")))
+            mex = arrays.batched_mex(np, columns["indptr"],
+                                     columns["indices"], colors,
+                                     deciders[start:stop])
+            failing = np.flatnonzero(mex >= columns["target"])
+            if failing.shape[0]:
+                raise self._fail(columns, int(deciders[start + failing[0]]))
+            chosen.append(mex)
+            start = stop
+        colors[deciders] = chosen[0] if len(chosen) == 1 \
+            else np.concatenate(chosen)
+        return int(lengths.sum()), int((lengths > 0).sum())
+
+    def _decide_each(self, columns, active_color):
+        """Deciders one at a time, in node order, each checked against
+        the bandwidth model before the next decides."""
         deciders = columns["by_color"].get(active_color, ())
+        if not deciders:
+            return 0, 0
+        colors = columns["colors"]
+        order = columns["order"]
+        degrees = columns["degrees"]
+        indices = columns["indices"]
+        indptr = columns["indptr"]
+        target = columns["target"]
+        bits = columns["bits"]
+        check_fanout = columns["check_fanout"]
         messages = 0
         broadcasts = 0
         updates = []
-        if deciders:
-            order = columns["order"]
-            degrees = columns["degrees"]
-            indices = columns["indices"]
-            check_fanout = columns["check_fanout"]
-            state = columns["arrays"]
-            indptr = columns["indptr"]
         for i in deciders:
-            if state is not None and degrees[i] >= arrays.MIN_TALLY:
-                np = state["np"]
-                row_np = state["indices"][indptr[i]:indptr[i + 1]]
-                new_color = arrays.mex_below(
-                    np, state["colors"][row_np], target
-                )
-            else:
-                used = {colors[j] for j in indices[indptr[i]:indptr[i + 1]]}
-                new_color = 0
-                while new_color in used:
-                    new_color += 1
+            used = {colors[j] for j in indices[indptr[i]:indptr[i + 1]]}
+            new_color = 0
+            while new_color in used:
+                new_color += 1
             if new_color >= target:
-                raise AlgorithmFailure(
-                    f"node {columns['programs'][i].node!r}: no free color "
-                    f"below {target}; target must be at least Delta + 1"
-                )
+                raise self._fail(columns, i)
             updates.append((i, new_color))
             degree = degrees[i]
             if degree:
@@ -687,22 +760,15 @@ class _ColorReductionKernel(RoundKernel):
                     )
                 messages += degree
                 broadcasts += 1
-        if updates:
-            mirror = None if state is None else state["colors"]
-            for i, new_color in updates:
-                colors[i] = new_color
-                if mirror is not None:
-                    mirror[i] = new_color
-        return KernelRound(
-            active=len(colors),
-            messages=messages,
-            bits=messages * bits,
-            max_message_bits=bits if messages else 0,
-            broadcasts=broadcasts,
-        )
+        for i, new_color in updates:
+            colors[i] = new_color
+        return messages, broadcasts
 
     def finalize(self, columns, programs) -> None:
-        for program, color in zip(programs, columns["colors"]):
+        colors = columns["colors"]
+        if columns["np"] is not None:
+            colors = colors.tolist()
+        for program, color in zip(programs, colors):
             program.color = color
 
 
@@ -756,18 +822,34 @@ def greedy_color_reduction(network: Network,
                            target: int,
                            ledger: Optional[CostLedger] = None,
                            bandwidth: Optional[BandwidthModel] = None
-                           ) -> Dict[Node, Color]:
+                           ) -> Mapping[Node, Color]:
     """Reduce a proper ``q``-coloring to ``target`` colors, one per round.
 
     ``target`` must be at least ``Delta + 1``.  Rounds: ``q - target + 1``.
     Combined with Linial this yields the classic O(Delta^2 + log* n)
     ``(Delta + 1)``-coloring baseline.
+
+    On the vectorized engine the colors stay one column from input to
+    output: the kernel's column entry runs on the input view's column
+    (or a column read once from a plain mapping) and the result is a
+    read-only :class:`~repro.sim.compiled.ColorColumn` view, with no
+    program object per node.  The other engines run the per-node
+    programs -- the executable spec -- and return a ``dict``; so does
+    the vectorized engine when a color is not a plain 64-bit ``int``.
     """
     if target < network.raw_max_degree() + 1:
         raise InstanceError("target must be at least Delta + 1")
     ledger = ensure_ledger(ledger)
     if q <= target:
         return dict(colors)  # nothing to reduce, zero rounds
+    if default_engine() == "vectorized":
+        compiled = network.compile()
+        column = color_column(colors, compiled)
+        if column is not None:
+            with ledger.phase("color-reduction"):
+                final = _reduce_column(compiled, column, q, target, ledger,
+                                       bandwidth)
+            return ColorColumn(compiled.order, final, compiled.index)
     programs = {
         node: _ColorReductionProgram(node, colors[node], q, target)
         for node in network
@@ -777,3 +859,15 @@ def greedy_color_reduction(network: Network,
             network, programs, bandwidth=bandwidth, ledger=ledger
         )
     return dict(outputs)
+
+
+def _reduce_column(compiled, column, q, target, ledger, bandwidth):
+    """The reduction as one vectorized column run; the final column."""
+    kernel = _ColorReductionKernel()
+    warmup_start = time.perf_counter()
+    columns = kernel.from_columns(
+        compiled, column, q, target,
+        bandwidth if bandwidth is not None else LocalModel())
+    run_columns(kernel, columns, compiled.n, ledger,
+                time.perf_counter() - warmup_start)
+    return columns["colors"]

@@ -192,3 +192,50 @@ class TestSimpleDefective:
         # Each leaf has 1 same-color out-neighbor, beta = 1.
         assert check_outdegree_defective(graph, colors, 1.0) == []
         assert check_outdegree_defective(graph, colors, 0.5) != []
+
+
+class TestColumnViolation:
+    """The one check of a dense color column (``repro scale`` and the
+    daemon's greedy-reduction payload), on both array backends."""
+
+    def legs(self):
+        from repro.sim import arrays
+
+        return [False] + ([True] if arrays._import_numpy() else [])
+
+    def check(self, compiled, colors, target, monkeypatch):
+        from array import array
+
+        from repro.coloring.validate import column_violation
+        from repro.sim import arrays
+        from repro.sim.config import use_config
+
+        # Tiny chunks: the first violation must survive row slicing.
+        monkeypatch.setattr(arrays, "MAX_MATCH_ELEMENTS", 3)
+        found = set()
+        for enabled in self.legs():
+            with use_config(arrays=enabled):
+                fresh = type(compiled).from_csr(compiled.indptr,
+                                                compiled.indices)
+                found.add(column_violation(fresh, array("q", colors),
+                                           target))
+        assert len(found) == 1
+        return found.pop()
+
+    def test_proper_below_target(self, monkeypatch):
+        compiled = ring_graph(6).compile()
+        assert self.check(compiled, [0, 1, 0, 1, 0, 1], 3,
+                          monkeypatch) is None
+
+    def test_first_monochromatic_edge_in_edge_order(self, monkeypatch):
+        compiled = ring_graph(6).compile()
+        colors = [0, 1, 2, 2, 1, 1]
+        first = next((i, j) for i, j in compiled.edge_ids()
+                     if colors[i] == colors[j])
+        assert self.check(compiled, colors, 3, monkeypatch) == \
+            f"edge {first} is monochromatic"
+
+    def test_color_at_target(self, monkeypatch):
+        compiled = star_graph(3).compile()
+        assert self.check(compiled, [0, 1, 3, 2], 3, monkeypatch) == \
+            "color >= target 3"

@@ -171,20 +171,32 @@ class TestHelpers:
         assert arrays.membership_counts(numpy, some, empty).tolist() == []
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_mex_below_matches_scalar(self, seed):
+    def test_batched_mex_matches_scalar(self, seed):
         rng = random.Random(100 + seed)
-        for _ in range(25):
-            limit = rng.randint(1, 30)
-            values = [rng.randint(-5, 35) for _ in range(rng.randint(0, 25))]
-            used = set(values)
-            expected = 0
-            while expected in used:
-                expected += 1
-            expected = min(expected, limit)
-            got = arrays.mex_below(
-                numpy, numpy.asarray(values, dtype=numpy.int64), limit
-            )
-            assert got == expected, (values, limit)
+        n = rng.randint(1, 30)
+        rows = [[rng.randrange(n) for _ in range(rng.randint(0, 25))]
+                for _ in range(n)]
+        values = [rng.randint(-5, 35) for _ in range(n)]
+        indptr = [0]
+        for row in rows:
+            indptr.append(indptr[-1] + len(row))
+        picked = sorted(rng.sample(range(n), rng.randint(0, n)))
+        expected = []
+        for i in picked:
+            used = {values[j] for j in rows[i]}
+            mex = 0
+            while mex in used:
+                mex += 1
+            expected.append(mex)
+        got = arrays.batched_mex(
+            numpy,
+            numpy.asarray(indptr, dtype=numpy.int64),
+            numpy.asarray([j for row in rows for j in row],
+                          dtype=numpy.int64),
+            numpy.asarray(values, dtype=numpy.int64),
+            numpy.asarray(picked, dtype=numpy.int64),
+        )
+        assert got.tolist() == expected, (rows, values, picked)
 
 
 # ----------------------------------------------------------------------

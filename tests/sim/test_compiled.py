@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
+
+import pytest
+
 from repro.graphs import binary_tree, complete_graph, gnp_graph, path_graph
 from repro.sim import CompiledNetwork, Network
+from repro.sim.compiled import ColorColumn, color_column
+from repro.sim.config import use_config
 
 
 class TestCompilation:
@@ -105,3 +111,84 @@ class TestNetworkCaches:
         sub = medium_random.subgraph(nodes)
         assert len(sub) == 10
         assert sub.compile().n == 10
+
+
+def _arrays_legs():
+    from repro.sim import arrays
+
+    legs = [False]
+    if arrays._import_numpy() is not None:
+        legs.append(True)
+    return legs
+
+
+class TestDegrees:
+    @pytest.mark.parametrize("topology", [
+        lambda: gnp_graph(60, 0.1, seed=3),
+        lambda: Network.from_edges(range(6), [(0, 1), (1, 2)]),
+        lambda: Network.from_edges(range(1), []),
+    ])
+    def test_byte_identical_with_arrays_on_and_off(self, topology):
+        network = topology()
+        built = {}
+        for enabled in _arrays_legs():
+            with use_config(arrays=enabled):
+                compiled = CompiledNetwork.from_network(network)
+                built[enabled] = (compiled.degrees.tobytes(),
+                                  compiled.degrees.typecode,
+                                  compiled.max_degree())
+        assert len(set(built.values())) == 1
+        degrees = array("q", built[False][0])
+        assert list(degrees) == [network.degree(node) for node in network]
+
+
+class TestColorColumn:
+    def columns(self, values):
+        from repro.sim import arrays
+
+        out = [array("q", values)]
+
+        numpy = arrays._import_numpy()
+        if numpy is not None:
+            out.append(numpy.array(values, dtype=numpy.int64))
+        return out
+
+    def test_reads_plain_ints_in_order(self):
+        for column in self.columns([4, 0, 7]):
+            view = ColorColumn(("a", "b", "c"), column)
+            assert dict(view) == {"a": 4, "b": 0, "c": 7}
+            assert view == {"a": 4, "b": 0, "c": 7}
+            assert all(type(view[node]) is int for node in view)
+            # The serve payload hash formats entries as node=color.
+            assert [f"{node!r}={view[node]}" for node in view] == \
+                ["'a'=4", "'b'=0", "'c'=7"]
+            assert "b" in view and "z" not in view and len(view) == 3
+            with pytest.raises(KeyError):
+                view["z"]
+            with pytest.raises(TypeError):
+                view["a"] = 1  # read-only
+
+    def test_dense_order_uses_identity_index(self):
+        view = ColorColumn(range(3), array("q", [2, 1, 0]))
+        assert view[2] == 0 and 3 not in view and True not in view
+
+    def test_length_must_match(self):
+        with pytest.raises(ValueError):
+            ColorColumn(range(3), array("q", [1]))
+
+    def test_color_column_reads_views_and_mappings(self):
+        compiled = path_graph(3).compile()
+        view = ColorColumn(compiled.order, array("q", [1, 0, 1]))
+        assert color_column(view, compiled) is view.column
+        colors = dict(zip(compiled.order, [1, 0, 1]))
+        assert color_column(colors, compiled) == array("q", [1, 0, 1])
+        del colors[compiled.order[1]]
+        with pytest.raises(KeyError):
+            color_column(colors, compiled)
+
+    def test_color_column_rejects_non_plain_ints(self):
+        compiled = path_graph(2).compile()
+        a, b = compiled.order
+        assert color_column({a: True, b: 0}, compiled) is None
+        assert color_column({a: 1 << 70, b: 0}, compiled) is None
+        assert color_column({a: 1.0, b: 0}, compiled) is None

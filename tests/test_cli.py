@@ -81,6 +81,35 @@ class TestCommands:
         assert "repro" in completed.stdout
 
 
+class TestScale:
+    def run(self, capsys, engine, arrays, *args):
+        import json
+
+        from repro.sim.config import use_config
+
+        with use_config(arrays=arrays):
+            status = main(["--engine", engine, "scale", "--json", *args])
+        return status, json.loads(
+            capsys.readouterr().out.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("args", [
+        ("--topology", "ring-stream", "--n", "3000"),
+        ("--topology", "grid-stream", "--n", "400"),
+        ("--topology", "regular-stream", "--n", "500", "--degree", "5"),
+        ("--topology", "gnp-stream", "--n", "300", "--p", "0.02"),
+    ])
+    def test_column_path_matches_reference(self, capsys, args):
+        """The vectorized column path prints the reference engine's
+        result and ledger, on either array backend."""
+        status, want = self.run(capsys, "reference", True, *args)
+        assert status == 0 and want["result"]["valid"] is True
+        for arrays in (True, False):
+            status, got = self.run(capsys, "vectorized", arrays, *args)
+            assert status == 0
+            assert got["result"] == want["result"]
+            assert got["ledger"] == want["ledger"]
+
+
 class TestGenerateSolve:
     def test_oldc_roundtrip(self, tmp_path, capsys):
         instance_path = tmp_path / "inst.json"
@@ -185,6 +214,42 @@ class TestTrace:
         for line in out.splitlines():
             record = json.loads(line)
             assert "wall_s" not in record and "t0" not in record
+
+    def test_trace_subcommand_into_closed_pipe(self, tmp_path):
+        """``repro trace FILE | head -1`` ends quietly, no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.graphs import ring_graph
+        from repro.obs import Tracer, use_tracer
+        from repro.obs.export import write_jsonl
+        from repro.substrates import greedy_color_reduction
+
+        network = ring_graph(8)
+        colors = {node: index for index, node in enumerate(network)}
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for _ in range(400):
+                greedy_color_reduction(network, colors, 8, 3)
+        trace_path = tmp_path / "long.jsonl"
+        write_jsonl(str(trace_path), tracer.events)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")]))
+        # Far more than a pipe buffer holds: the CLI is still writing
+        # when the reader goes away after its first line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", str(trace_path),
+             "--logical"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
 
     def test_trace_subcommand_chrome_conversion(self, tmp_path, capsys):
         import json
